@@ -1,9 +1,11 @@
-"""2-D point primitives, exact k-nearest-neighbor queries, and adaptive radii.
+"""2-D point primitives, exact neighbor queries, and adaptive radii.
 
 Coordinates follow the image convention (x grows rightward, y grows
-downward, units are pixels). Every query here is exact: the uniform-grid
-index used for large target sets returns the same distances as a full
-scan, it only prunes the candidate set.
+downward, units are pixels). Two queries are provided: the k nearest
+targets of a point, and every target within a per-query radius (the
+edges of the matcher). Every query here is exact: the uniform-grid index
+used for large target sets returns the same distances as a full scan,
+it only prunes the candidate set.
 
 The adaptive radius of a query point is the mean of its distances to the
 k nearest target points, clamped below by a configurable floor. It
@@ -28,8 +30,8 @@ DEFAULT_K = 5
 #: exclude the point itself).
 DEFAULT_RADIUS_FLOOR = 1e-3
 
-#: Target-set size at which k-NN queries switch from a full scan to the
-#: uniform-grid index.
+#: Target-set size at which k-NN and range queries switch from a full
+#: scan to the uniform-grid index.
 GRID_BACKEND_THRESHOLD = 256
 
 
@@ -154,14 +156,21 @@ class RadiusProfile:
 class _UniformGrid:
     """Uniform-grid spatial index over a fixed point cloud.
 
-    Cell size is chosen so the expected bucket occupancy is O(1). Queries
-    expand Chebyshev rings of cells around the query point; a ring bound
+    Cell size is chosen so the expected bucket occupancy is O(1). Point
+    indices are stored sorted by cell (column-major: cell id = ix * ny +
+    iy), so the cells of one grid column over a row range are one
+    contiguous slice of ``order``. Queries visit only cells inside the
+    grid: a query far outside the cloud costs no more than one next to it.
+
+    ``knn`` expands Chebyshev rings of cells around the query's cell,
+    starting at the first ring that touches the grid; a ring bound
     guarantees exactness: once the current k-th best distance is at most
     ``r * cell`` every unvisited point (Chebyshev cell distance > r) is
-    too far to matter.
+    too far to matter. ``within`` scans the cells of the query disc's
+    bounding box.
     """
 
-    __slots__ = ("coords", "origin", "cell", "shape", "buckets")
+    __slots__ = ("coords", "origin", "cell", "shape", "order", "starts")
 
     def __init__(self, coords: np.ndarray):
         self.coords = coords
@@ -176,53 +185,81 @@ class _UniformGrid:
         nx = int(ij[:, 0].max()) + 1
         ny = int(ij[:, 1].max()) + 1
         self.shape = (nx, ny)
-        buckets: dict[tuple[int, int], list[int]] = {}
-        for idx, (cx, cy) in enumerate(ij):
-            buckets.setdefault((int(cx), int(cy)), []).append(idx)
-        self.buckets = {key: np.asarray(v, dtype=np.int64) for key, v in buckets.items()}
+        cell_id = ij[:, 0] * ny + ij[:, 1]
+        self.order = np.argsort(cell_id, kind="stable")
+        self.starts = np.concatenate(
+            ([0], np.cumsum(np.bincount(cell_id, minlength=nx * ny))))
 
-    def _ring_cells(self, cx: int, cy: int, r: int) -> list[tuple[int, int]]:
+    def _cell_of(self, x: float, y: float) -> tuple[int, int]:
+        return (int(math.floor((x - self.origin[0]) / self.cell)),
+                int(math.floor((y - self.origin[1]) / self.cell)))
+
+    def _gather(self, spans: list[tuple[int, int, int]]) -> np.ndarray:
+        """Point indices in the column spans (ix, iy0, iy1), bounds inclusive."""
+        ny = self.shape[1]
+        starts = self.starts
+        parts = [self.order[starts[ix * ny + y0]:starts[ix * ny + y1 + 1]]
+                 for ix, y0, y1 in spans]
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+    def _ring_spans(self, cx: int, cy: int, r: int) -> list[tuple[int, int, int]]:
+        """Column spans of the cells at Chebyshev distance r from (cx, cy),
+        clipped to the grid."""
         nx, ny = self.shape
-        if r == 0:
-            return [(cx, cy)] if 0 <= cx < nx and 0 <= cy < ny else []
-        cells = []
-        for ix in range(cx - r, cx + r + 1):
-            if not 0 <= ix < nx:
+        y0, y1 = max(cy - r, 0), min(cy + r, ny - 1)
+        if y0 > y1:
+            return []
+        spans = []
+        for ix in range(max(cx - r, 0), min(cx + r, nx - 1) + 1):
+            if ix == cx - r or ix == cx + r:
+                spans.append((ix, y0, y1))
                 continue
-            for iy in (cy - r, cy + r):
-                if 0 <= iy < ny:
-                    cells.append((ix, iy))
-        for iy in range(cy - r + 1, cy + r):
-            if not 0 <= iy < ny:
-                continue
-            for ix in (cx - r, cx + r):
-                if 0 <= ix < nx:
-                    cells.append((ix, iy))
-        return cells
+            if cy - r >= 0:
+                spans.append((ix, cy - r, cy - r))
+            if cy + r < ny:
+                spans.append((ix, cy + r, cy + r))
+        return spans
+
+    def _distances(self, idx: np.ndarray, q: np.ndarray) -> np.ndarray:
+        pts = self.coords[idx]
+        return np.hypot(pts[:, 0] - q[0], pts[:, 1] - q[1])
 
     def knn(self, q: np.ndarray, k: int) -> np.ndarray:
         n = self.coords.shape[0]
         kk = min(k, n)
-        cx = int(math.floor((q[0] - self.origin[0]) / self.cell))
-        cy = int(math.floor((q[1] - self.origin[1]) / self.cell))
+        cx, cy = self._cell_of(q[0], q[1])
         nx, ny = self.shape
+        # Rings closer than r0 hold no cell of the grid; past max_r every
+        # cell has been visited.
+        r0 = max(-cx, cx - nx + 1, -cy, cy - ny + 1, 0)
         max_r = max(cx, nx - 1 - cx, cy, ny - 1 - cy, 0) + 1
         best = np.empty(0, dtype=np.float64)
-        for r in range(max_r + 1):
-            cells = self._ring_cells(cx, cy, r)
-            cand: list[np.ndarray] = []
-            for key in cells:
-                hit = self.buckets.get(key)
-                if hit is not None:
-                    cand.append(hit)
-            if cand:
-                idx = np.concatenate(cand)
-                pts = self.coords[idx]
-                d = np.hypot(pts[:, 0] - q[0], pts[:, 1] - q[1])
-                best = np.sort(np.concatenate([best, d]))[:kk]
+        for r in range(r0, max_r + 1):
+            idx = self._gather(self._ring_spans(cx, cy, r))
+            if idx.size:
+                best = np.sort(np.concatenate([best, self._distances(idx, q)]))[:kk]
             if best.shape[0] == kk and best[-1] <= r * self.cell:
                 break
         return best
+
+    def within(self, q: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """Indices (increasing) and distances of the points at distance
+        <= r from q."""
+        # Widen the box by a few ulps so rounding in q -/+ r cannot drop a
+        # point lying exactly on the disc's edge.
+        reach = r + 1e-12 * (abs(q[0]) + abs(q[1]) + r)
+        x0, y0 = self._cell_of(q[0] - reach, q[1] - reach)
+        x1, y1 = self._cell_of(q[0] + reach, q[1] + reach)
+        nx, ny = self.shape
+        y0, y1 = max(y0, 0), min(y1, ny - 1)
+        spans = [(ix, y0, y1) for ix in range(max(x0, 0), min(x1, nx - 1) + 1)] \
+            if y0 <= y1 else []
+        idx = self._gather(spans)
+        d = self._distances(idx, q)
+        keep = d <= r
+        idx, d = idx[keep], d[keep]
+        order = np.argsort(idx)
+        return idx[order], d[order]
 
 
 def _as_query(p: PointLike) -> np.ndarray:
@@ -311,3 +348,43 @@ def pairwise_distances(a: PointSet, b: PointSet) -> np.ndarray:
         return np.zeros((len(a), len(b)), dtype=np.float64)
     diff = a.coords[:, None, :] - b.coords[None, :, :]
     return np.hypot(diff[..., 0], diff[..., 1])
+
+
+#: Cell budget of one block of the full-scan range query: rows are
+#: scanned in blocks of at most this many query-target pairs.
+_SCAN_BLOCK_CELLS = 1 << 16
+
+
+def pairs_within(queries: PointSet, targets: PointSet,
+                 radii: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (query, target) pair at distance <= the query's radius.
+
+    Returns ``(qi, ti, d)``: query indices, target indices and distances,
+    ordered by query index, then target index. Distances are bit-identical
+    to :func:`pairwise_distances`. Below ``GRID_BACKEND_THRESHOLD``
+    targets the queries are scanned against every target in bounded
+    blocks; at or above it each query asks the uniform grid. Memory is
+    O(pairs found + block), never O(len(queries) * len(targets)).
+    """
+    radii = np.asarray(radii, dtype=np.float64)
+    n, m = len(queries), len(targets)
+    if radii.shape != (n,):
+        raise ValueError(f"radius count {radii.shape} does not match queries {n}")
+    if n and not (np.all(np.isfinite(radii)) and radii.min() >= 0):
+        raise ValueError("radii must be finite and non-negative")
+    parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+              np.empty(0, dtype=np.float64))]
+    qc, tc = queries.coords, targets.coords
+    if m < GRID_BACKEND_THRESHOLD:
+        rows = max(1, _SCAN_BLOCK_CELLS // max(m, 1))
+        for s in range(0, n, rows):
+            diff = qc[s:s + rows, None, :] - tc[None, :, :]
+            d = np.hypot(diff[..., 0], diff[..., 1])
+            qi, ti = np.nonzero(d <= radii[s:s + rows, None])
+            parts.append((qi + s, ti, d[qi, ti]))
+    else:
+        grid = targets._index()
+        for i, (q, r) in enumerate(zip(qc, radii)):
+            ti, d = grid.within(q, float(r))
+            parts.append((np.full(ti.size, i, dtype=np.int64), ti, d))
+    return tuple(np.concatenate(col) for col in zip(*parts))

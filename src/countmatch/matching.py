@@ -1,11 +1,29 @@
 """Density-adaptive bipartite point matching.
 
 Pipeline: per-prediction adaptive radii (mean distance to the k nearest
-ground-truth points) -> Gaussian weight matrix with per-row admissibility
--> exact Hungarian assignment on negated weights -> stripping of
-out-of-radius pairs. A prediction can therefore only claim a ground-truth
+ground-truth points) -> Gaussian weights with per-row admissibility ->
+exact Hungarian assignment maximizing total weight -> stripping of
+inadmissible pairs. A prediction can therefore only claim a ground-truth
 point inside its own neighborhood scale, which is what prevents false
 matches in dense regions while keeping sparse regions matchable.
+
+Edge contract: pair (i, j) is an *edge* when gt j lies within radius_i
+of prediction i and its Gaussian weight is positive (a weight that
+underflows to 0.0 is not an edge). Only edges are ever returned, so
+every returned weight lies in (0, 1].
+
+Under ``OutOfRadiusMode.FORBID`` (the default) a non-edge weighs 0 in
+the solve and is stripped afterwards, so the optimum is the union of the
+optima of the connected components of the edge graph. The matcher
+therefore never builds the dense n x m problem: it finds the edges with
+range queries (:func:`geometry.pairs_within`), weights only those, splits
+the bipartite graph into components with a union-find, and solves each
+component's small dense sub-matrix exactly (0 where there is no edge).
+Memory and time follow the edge graph, not the n x m cross product.
+``OutOfRadiusMode.LINEAR_PENALTY`` gives non-edges negative weights that
+couple every component, so it keeps the dense path:
+:func:`build_weight_matrix` plus one :func:`hungarian_solve`. That dense
+pair is also the reference the sparse path is tested against.
 
 A factorial brute-force matcher with identical semantics serves as the
 correctness oracle for small instances.
@@ -28,6 +46,7 @@ from .geometry import (
     PointSet,
     RadiusProfile,
     all_radii,
+    pairs_within,
     pairwise_distances,
 )
 
@@ -77,10 +96,11 @@ class MatchConfig:
 class WeightMatrix:
     """Dense pairing weights plus the per-row admissibility mask.
 
-    ``values[i, j]`` is exp(-D_ij^2 / (2 sigma_i^2)) where the pair is
-    within prediction i's radius, and the mode-dependent placeholder
-    (0 under FORBID, -D_ij/D_max under LINEAR_PENALTY) outside it; either
-    placeholder is strictly below every admissible weight.
+    ``in_radius[i, j]`` marks the edges: pairs within prediction i's
+    radius whose weight exp(-D_ij^2 / (2 sigma_i^2)) is positive.
+    ``values[i, j]`` is that weight on edges and the mode-dependent
+    placeholder (0 under FORBID, -D_ij/D_max under LINEAR_PENALTY)
+    elsewhere; either placeholder is strictly below every edge weight.
     """
 
     values: np.ndarray
@@ -147,12 +167,8 @@ def build_weight_matrix(pred: PointSet, gt: PointSet, radii: RadiusProfile,
         empty = np.zeros((n, m))
         return WeightMatrix(values=empty, in_radius=empty.astype(bool), distances=d)
     rad = radii.radii[:, None]
-    in_radius = d <= rad
-    if cfg.sigma_mode is SigmaMode.FIXED:
-        sigma = np.full((n, 1), cfg.sigma_value)
-    else:
-        sigma = cfg.sigma_value * rad
-    values = np.exp(-(d * d) / (2.0 * sigma * sigma))
+    values = _gaussian(d, rad, cfg)
+    in_radius = (d <= rad) & (values > 0.0)
     if cfg.out_of_radius is OutOfRadiusMode.FORBID:
         values = np.where(in_radius, values, 0.0)
     else:
@@ -195,12 +211,25 @@ def fixed_radius_match(pred: PointSet, gt: PointSet, radius: float,
 
 def match_with_radii(pred: PointSet, gt: PointSet, radii: RadiusProfile,
                      cfg: MatchConfig = MatchConfig()) -> MatchResult:
-    """Match with an explicit radius profile (one radius per prediction)."""
-    if len(pred) == 0 or len(gt) == 0:
-        return _all_unmatched(len(pred), len(gt))
-    wm = build_weight_matrix(pred, gt, radii, cfg)
-    assignment = hungarian_solve(-wm.values)
-    return _assemble(wm, assignment.pairs, len(pred), len(gt))
+    """Match with an explicit radius profile (one radius per prediction).
+
+    Under FORBID the edge graph is solved component by component; under
+    LINEAR_PENALTY the dense weight matrix is solved in one piece.
+    """
+    n, m = len(pred), len(gt)
+    if n == 0 or m == 0:
+        return _all_unmatched(n, m)
+    if len(radii) != n:
+        raise ValueError(f"radius profile length {len(radii)} does not match predictions {n}")
+    if cfg.out_of_radius is OutOfRadiusMode.LINEAR_PENALTY:
+        wm = build_weight_matrix(pred, gt, radii, cfg)
+        return _assemble_solved(wm, hungarian_solve(-wm.values).pairs)
+    pi, gj, d = pairs_within(pred, gt, radii.radii)
+    w = _gaussian(d, radii.radii[pi], cfg)
+    edge = w > 0.0
+    pi, gj, d, w = pi[edge], gj[edge], d[edge], w[edge]
+    keep = _max_weight_matching(pi, gj, w, n)
+    return _assemble(pi[keep], gj[keep], d[keep], w[keep], n, m)
 
 
 def brute_force_match(pred: PointSet, gt: PointSet, cfg: MatchConfig = MatchConfig(),
@@ -232,7 +261,7 @@ def brute_force_match(pred: PointSet, gt: PointSet, cfg: MatchConfig = MatchConf
         totals = values[perms, np.arange(m)[None, :]].sum(axis=1)
         best = perms[int(np.argmax(totals))]
         pairs = sorted((int(best[j]), j) for j in range(m))
-    return _assemble(wm, pairs, n, m)
+    return _assemble_solved(wm, pairs)
 
 
 def _all_unmatched(n: int, m: int) -> MatchResult:
@@ -240,16 +269,90 @@ def _all_unmatched(n: int, m: int) -> MatchResult:
                        unmatched_gt=tuple(range(m)), total_weight=0.0)
 
 
-def _assemble(wm: WeightMatrix, solver_pairs, n: int, m: int) -> MatchResult:
-    kept = []
-    for i, j in solver_pairs:
-        if wm.in_radius[i, j]:
-            kept.append(MatchPair(i, j, float(wm.distances[i, j]), float(wm.values[i, j])))
-    matched_pred = {p.pred_index for p in kept}
-    matched_gt = {p.gt_index for p in kept}
+def _gaussian(d: np.ndarray, rad, cfg: MatchConfig) -> np.ndarray:
+    """Gaussian weights of distances ``d`` for radii ``rad`` (broadcast)."""
+    sigma = cfg.sigma_value if cfg.sigma_mode is SigmaMode.FIXED else cfg.sigma_value * rad
+    return np.exp(-(d * d) / (2.0 * sigma * sigma))
+
+
+def _max_weight_matching(pi: np.ndarray, gj: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """Edge indices of a maximum-weight matching of the bipartite edge
+    graph (edge e joins prediction pi[e] and gt gj[e], weight w[e] > 0).
+
+    Edges must be ordered by prediction, then gt. Each connected component
+    is solved on its own; ties resolve as :func:`hungarian_solve` resolves
+    them on the component's sub-matrix.
+    """
+    chosen: list[int] = []
+    pl, gl, wl = pi.tolist(), gj.tolist(), w.tolist()
+    for e in _components(pl, gl, n):
+        ps, gs = [pl[k] for k in e], [gl[k] for k in e]
+        rows, cols = sorted(set(ps)), sorted(set(gs))
+        if len(rows) == 1 or len(cols) == 1:
+            # A single edge or a star: its heaviest edge, the first among
+            # equals, is the solver's choice on the one-row (or one-column)
+            # sub-matrix.
+            chosen.append(max(e, key=wl.__getitem__))
+            continue
+        row_of = {v: a for a, v in enumerate(rows)}
+        col_of = {v: a for a, v in enumerate(cols)}
+        r, c = [row_of[v] for v in ps], [col_of[v] for v in gs]
+        sub = np.zeros((len(rows), len(cols)))
+        sub[r, c] = [wl[k] for k in e]
+        edge_id = np.full(sub.shape, -1, dtype=np.int64)
+        edge_id[r, c] = e
+        ids = [int(edge_id[a, b]) for a, b in hungarian_solve(-sub).pairs]
+        chosen.extend(k for k in ids if k >= 0)
+    return np.array(chosen, dtype=np.int64)
+
+
+def _components(pl: list[int], gl: list[int], n: int) -> list[list[int]]:
+    """Edge indices grouped by connected component, each group in
+    increasing order; edge k joins prediction pl[k] and gt gl[k].
+
+    Union-find over prediction nodes 0..n-1 and gt nodes n..n+m-1.
+    """
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        root = parent.setdefault(x, x)
+        while root != parent[root]:
+            parent[root] = parent[parent[root]]
+            root = parent[root]
+        return root
+
+    for a, b in zip(pl, gl):
+        ra, rb = find(a), find(b + n)
+        if ra != rb:
+            parent[rb] = ra
+    groups: dict[int, list[int]] = {}
+    for k, a in enumerate(pl):
+        groups.setdefault(find(a), []).append(k)
+    return list(groups.values())
+
+
+def _assemble_solved(wm: WeightMatrix, solver_pairs) -> MatchResult:
+    """Result of a solve on the dense matrix: non-edge pairs are stripped."""
+    ij = np.asarray(solver_pairs, dtype=np.int64).reshape(-1, 2)
+    ij = ij[wm.in_radius[ij[:, 0], ij[:, 1]]]
+    i, j = ij[:, 0], ij[:, 1]
+    n, m = wm.values.shape
+    return _assemble(i, j, wm.distances[i, j], wm.values[i, j], n, m)
+
+
+def _assemble(pi: np.ndarray, gj: np.ndarray, dist: np.ndarray, weight: np.ndarray,
+              n: int, m: int) -> MatchResult:
+    """Result from the kept pairs, given as parallel arrays in any order."""
+    order = np.argsort(pi, kind="stable")
+    pi, gj, dist, weight = pi[order], gj[order], dist[order], weight[order]
+    matched_pred = np.zeros(n, dtype=bool)
+    matched_pred[pi] = True
+    matched_gt = np.zeros(m, dtype=bool)
+    matched_gt[gj] = True
+    weights = weight.tolist()
     return MatchResult(
-        pairs=tuple(kept),
-        unmatched_pred=tuple(i for i in range(n) if i not in matched_pred),
-        unmatched_gt=tuple(j for j in range(m) if j not in matched_gt),
-        total_weight=math.fsum(p.weight for p in kept),
+        pairs=tuple(map(MatchPair, pi.tolist(), gj.tolist(), dist.tolist(), weights)),
+        unmatched_pred=tuple(np.flatnonzero(~matched_pred).tolist()),
+        unmatched_gt=tuple(np.flatnonzero(~matched_gt).tolist()),
+        total_weight=math.fsum(weights),
     )

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from countmatch.geometry import (
     adaptive_radius,
     all_radii,
     knn_distances,
+    pairs_within,
     pairwise_distances,
 )
 
@@ -104,6 +107,57 @@ class TestKnnDistances:
         targets = PointSet([(5.0, 5.0)] * (GRID_BACKEND_THRESHOLD + 1))
         d = knn_distances(Point(5, 5), targets, k=3)
         assert d.tolist() == [0.0, 0.0, 0.0]
+
+    def test_grid_query_far_outside_the_cloud(self):
+        # Rings between the query and the grid hold no cell; skipping them
+        # keeps a query 3e4 px from a 100 px cloud as cheap as a near one.
+        rng = np.random.default_rng(37)
+        targets = PointSet(rng.uniform(0, 100, (400, 2)))
+        grid = targets._index()
+        queries = [(3e4, 50.0), (-3e4, -3e4), (50.0, 3.00001e4), (-2e4, 3e4)]
+        t0 = time.perf_counter()
+        for q in queries:
+            np.testing.assert_array_equal(
+                knn_distances(q, targets, 5), brute_knn(q, targets, 5))
+            q = np.asarray(q)
+            full = np.hypot(*(targets.coords - q).T)
+            r = float(np.sort(full)[7])
+            idx, d = grid.within(q, r)
+            np.testing.assert_array_equal(idx, np.flatnonzero(full <= r))
+            np.testing.assert_array_equal(d, full[idx])
+        assert time.perf_counter() - t0 < 0.1
+
+
+class TestPairsWithin:
+    @pytest.mark.parametrize("m", [7, GRID_BACKEND_THRESHOLD - 1, GRID_BACKEND_THRESHOLD, 600])
+    def test_equals_dense_mask_on_both_backends(self, m):
+        rng = np.random.default_rng(41 + m)
+        gt = PointSet(np.round(rng.uniform(0, 60, (m, 2)), 1))
+        pred = PointSet(np.vstack([np.round(rng.uniform(-5, 65, (300, 2)), 1),
+                                   gt.coords[:20], [(1e4, -1e4)]]))
+        radii = rng.uniform(0, 8, len(pred))
+        radii[:10] = 0.0
+        radii[-1] = 2e4
+        d = pairwise_distances(pred, gt)
+        qi, ti, dist = pairs_within(pred, gt, radii)
+        want_i, want_j = np.nonzero(d <= radii[:, None])
+        np.testing.assert_array_equal(qi, want_i)
+        np.testing.assert_array_equal(ti, want_j)
+        np.testing.assert_array_equal(dist, d[want_i, want_j])
+
+    def test_edge_of_disc_is_inside(self):
+        gt = PointSet([(float(i), 0.0) for i in range(GRID_BACKEND_THRESHOLD)])
+        qi, ti, d = pairs_within(PointSet([(0.0, 0.0)]), gt, np.array([3.0]))
+        assert ti.tolist() == [0, 1, 2, 3] and d.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    def test_empty_and_misaligned(self):
+        gt = PointSet([(0, 0)])
+        assert all(a.size == 0 for a in pairs_within(PointSet([]), gt, np.empty(0)))
+        assert all(a.size == 0 for a in pairs_within(gt, PointSet([]), np.ones(1)))
+        with pytest.raises(ValueError, match="radius count"):
+            pairs_within(gt, gt, np.ones(2))
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            pairs_within(gt, gt, np.array([np.inf]))
 
 
 class TestAdaptiveRadius:

@@ -1,10 +1,15 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from countmatch.geometry import PointSet, RadiusProfile, all_radii
+from countmatch import matching
+from countmatch.assignment import hungarian_solve
+from countmatch.geometry import GRID_BACKEND_THRESHOLD, PointSet, RadiusProfile, all_radii
 from countmatch.matching import (
     MatchConfig,
     OutOfRadiusMode,
@@ -314,3 +319,121 @@ class TestMatchConfig:
         radii = RadiusProfile(np.array([5.0]), k=1)
         result = match_with_radii(pred, gt, radii, cfg)
         assert result.pairs[0].weight == pytest.approx(math.exp(-0.5), abs=1e-12)
+
+
+class TestUnderflowedWeights:
+    # exp(-40^2 / 2) underflows to 0.0 although the pair is within radius.
+    PRED = PointSet([(0, 0)])
+    GT = PointSet([(40, 0)])
+    RADII = RadiusProfile(np.array([50.0]), k=1)
+
+    @pytest.mark.parametrize("mode", list(OutOfRadiusMode))
+    def test_zero_weight_pair_is_not_an_edge(self, mode):
+        cfg = MatchConfig(sigma_mode=SigmaMode.FIXED, sigma_value=1.0, out_of_radius=mode)
+        wm = build_weight_matrix(self.PRED, self.GT, self.RADII, cfg)
+        assert not wm.in_radius.any()
+        for result in (match_with_radii(self.PRED, self.GT, self.RADII, cfg),
+                       brute_force_match(self.PRED, self.GT, cfg, radii=self.RADII)):
+            assert result.pairs == ()
+            assert result.unmatched_pred == (0,) and result.unmatched_gt == (0,)
+            assert result.total_weight == 0.0
+
+    def test_positive_neighbor_still_matches(self):
+        pred = PointSet([(0, 0), (40, 1)])
+        cfg = MatchConfig(sigma_mode=SigmaMode.FIXED, sigma_value=1.0)
+        radii = RadiusProfile(np.array([50.0, 50.0]), k=1)
+        result = match_with_radii(pred, self.GT, radii, cfg)
+        check_result_invariants(result, 2, 1)
+        assert [(p.pred_index, p.gt_index) for p in result.pairs] == [(1, 0)]
+
+
+class TestSparsePath:
+    def test_forbid_never_builds_the_dense_matrix(self, monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("dense weight matrix built under FORBID")
+
+        monkeypatch.setattr(matching, "build_weight_matrix", dense)
+        monkeypatch.setattr(matching, "pairwise_distances", dense)
+        rng = np.random.default_rng(15)
+        for m in (40, GRID_BACKEND_THRESHOLD + 50):
+            gt = PointSet(rng.uniform(0, 200, (m, 2)))
+            pred = PointSet(rng.uniform(0, 200, (m + 5, 2)))
+            check_result_invariants(match_points(pred, gt), m + 5, m)
+
+    @pytest.mark.parametrize("n, m", [(40000, 200), (3000, 3000)])
+    def test_memory_follows_the_edges_not_n_times_m(self, n, m):
+        rng = np.random.default_rng(16)
+        gt = PointSet(rng.uniform(0, 1000, (m, 2)))
+        pred = PointSet(rng.uniform(0, 1000, (n, 2)))
+        radii = RadiusProfile(np.full(n, 2.0), k=5)
+        tracemalloc.start()
+        try:
+            result = match_with_radii(pred, gt, radii)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        check_result_invariants(result, n, m)
+        assert peak < n * m * 8 / 4   # a quarter of one dense float64 matrix
+
+    def test_giant_component(self):
+        # Every radius covers every point: one component, solved densely.
+        rng = np.random.default_rng(17)
+        pred = PointSet(rng.uniform(0, 10, (30, 2)))
+        gt = PointSet(rng.uniform(0, 10, (25, 2)))
+        result = fixed_radius_match(pred, gt, radius=100.0)
+        radii = RadiusProfile(np.full(30, 100.0), k=5)
+        ref = hungarian_solve(-build_weight_matrix(pred, gt, radii, MatchConfig()).values)
+        assert result.total_weight == pytest.approx(-ref.total_cost, abs=1e-9)
+        assert len(result.pairs) == 25
+
+
+def _cloud(rng, count, extent, step, outliers):
+    pts = rng.uniform(0, extent, (count, 2))
+    if step:
+        pts = np.round(pts / step) * step
+    if outliers:
+        far = rng.choice([-1.0, 1.0], (outliers, 2)) * rng.uniform(1e4, 1e5, (outliers, 2))
+        pts[rng.choice(count, min(outliers, count), replace=False)] = far[:count]
+    return pts
+
+
+@st.composite
+def matching_instances(draw):
+    grid_side = draw(st.booleans())
+    if grid_side:
+        m = draw(st.integers(GRID_BACKEND_THRESHOLD, GRID_BACKEND_THRESHOLD + 60))
+        n = draw(st.integers(1, 40))
+    else:
+        m = draw(st.integers(1, 40))
+        n = draw(st.integers(1, 40))
+    extent = draw(st.sampled_from([3.0, 30.0, 300.0]))
+    step = draw(st.sampled_from([0.0, 0.5, 1.0]))   # 0: continuous; else quantized, with ties
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gt = _cloud(rng, m, extent, step, draw(st.integers(0, 2)))
+    pred = _cloud(rng, n, extent, step, draw(st.integers(0, 2)))
+    coincident = draw(st.integers(0, min(n, m)))   # predictions sitting exactly on a gt
+    pred[:coincident] = gt[rng.choice(m, coincident, replace=False)]
+    if draw(st.booleans()):
+        cfg = MatchConfig(k=draw(st.integers(1, 6)),
+                          sigma_value=draw(st.sampled_from([0.25, 0.5, 2.0])))
+    else:
+        cfg = MatchConfig(k=draw(st.integers(1, 6)), sigma_mode=SigmaMode.FIXED,
+                          sigma_value=draw(st.sampled_from([0.05, 0.5, 3.0])))
+    return PointSet(pred), PointSet(gt), cfg
+
+
+class TestSparseMatchesDenseReference:
+    @settings(max_examples=150, deadline=None)
+    @given(matching_instances())
+    def test_total_equals_dense_solve(self, instance):
+        pred, gt, cfg = instance
+        result = match_points(pred, gt, cfg)
+        check_result_invariants(result, len(pred), len(gt))
+        radii = all_radii(pred, gt, cfg.k, cfg.radius_floor)
+        wm = build_weight_matrix(pred, gt, radii, cfg)
+        ref = hungarian_solve(-wm.values)
+        assert result.total_weight == pytest.approx(-ref.total_cost, abs=1e-9)
+        for p in result.pairs:
+            assert wm.in_radius[p.pred_index, p.gt_index]
+            assert p.distance == wm.distances[p.pred_index, p.gt_index]
+            assert p.weight == wm.values[p.pred_index, p.gt_index]
