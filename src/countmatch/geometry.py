@@ -316,9 +316,34 @@ def adaptive_radius(p: PointLike, gt: PointSet, k: int = DEFAULT_K,
     return max(float(d.mean()), floor)
 
 
+#: Cell budget of one block of a full scan: query rows are scanned in
+#: blocks of at most this many query-target pairs.
+_SCAN_BLOCK_CELLS = 1 << 16
+
+
+def _scan_blocks(queries: np.ndarray, targets: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Full-scan distances, one block of query rows at a time.
+
+    Yields ``(s, d)`` where ``d[a, j]`` is the distance from query
+    ``s + a`` to target ``j``, bit-identical to
+    :func:`pairwise_distances`. A block holds at most
+    ``_SCAN_BLOCK_CELLS`` pairs (at least one row).
+    """
+    rows = max(1, _SCAN_BLOCK_CELLS // max(len(targets), 1))
+    for s in range(0, len(queries), rows):
+        diff = queries[s:s + rows, None, :] - targets[None, :, :]
+        yield s, np.hypot(diff[..., 0], diff[..., 1])
+
+
 def all_radii(pred: PointSet, gt: PointSet, k: int = DEFAULT_K,
               floor: float = DEFAULT_RADIUS_FLOOR) -> RadiusProfile:
-    """Adaptive radius of every prediction against one ground-truth set."""
+    """Adaptive radius of every prediction against one ground-truth set.
+
+    Below ``GRID_BACKEND_THRESHOLD`` targets the predictions are scanned
+    against every target in bounded blocks; at or above it each one asks
+    the uniform grid. Memory is O(len(pred) + block), never
+    O(len(pred) * len(gt)).
+    """
     if k < 1:
         raise ValueError("invalid k")
     if len(gt) == 0:
@@ -329,14 +354,13 @@ def all_radii(pred: PointSet, gt: PointSet, k: int = DEFAULT_K,
     kk = min(k, n_gt)
     if len(pred) == 0:
         return RadiusProfile(np.empty(0, dtype=np.float64), k)
+    radii = np.empty(len(pred), dtype=np.float64)
     if n_gt < GRID_BACKEND_THRESHOLD:
-        diff = pred.coords[:, None, :] - gt.coords[None, :, :]
-        d = np.hypot(diff[..., 0], diff[..., 1])
-        nearest = np.sort(np.partition(d, kk - 1, axis=1)[:, :kk], axis=1)
-        radii = np.maximum(nearest.mean(axis=1), floor)
+        for s, d in _scan_blocks(pred.coords, gt.coords):
+            nearest = np.sort(np.partition(d, kk - 1, axis=1)[:, :kk], axis=1)
+            radii[s:s + len(d)] = np.maximum(nearest.mean(axis=1), floor)
         return RadiusProfile(radii, k)
     grid = gt._index()
-    radii = np.empty(len(pred), dtype=np.float64)
     for i, q in enumerate(pred.coords):
         radii[i] = max(float(grid.knn(q, kk).mean()), floor)
     return RadiusProfile(radii, k)
@@ -348,11 +372,6 @@ def pairwise_distances(a: PointSet, b: PointSet) -> np.ndarray:
         return np.zeros((len(a), len(b)), dtype=np.float64)
     diff = a.coords[:, None, :] - b.coords[None, :, :]
     return np.hypot(diff[..., 0], diff[..., 1])
-
-
-#: Cell budget of one block of the full-scan range query: rows are
-#: scanned in blocks of at most this many query-target pairs.
-_SCAN_BLOCK_CELLS = 1 << 16
 
 
 def pairs_within(queries: PointSet, targets: PointSet,
@@ -376,11 +395,8 @@ def pairs_within(queries: PointSet, targets: PointSet,
               np.empty(0, dtype=np.float64))]
     qc, tc = queries.coords, targets.coords
     if m < GRID_BACKEND_THRESHOLD:
-        rows = max(1, _SCAN_BLOCK_CELLS // max(m, 1))
-        for s in range(0, n, rows):
-            diff = qc[s:s + rows, None, :] - tc[None, :, :]
-            d = np.hypot(diff[..., 0], diff[..., 1])
-            qi, ti = np.nonzero(d <= radii[s:s + rows, None])
+        for s, d in _scan_blocks(qc, tc):
+            qi, ti = np.nonzero(d <= radii[s:s + len(d), None])
             parts.append((qi + s, ti, d[qi, ti]))
     else:
         grid = targets._index()

@@ -288,12 +288,6 @@ def _max_weight_matching(pi: np.ndarray, gj: np.ndarray, w: np.ndarray, n: int) 
     for e in _components(pl, gl, n):
         ps, gs = [pl[k] for k in e], [gl[k] for k in e]
         rows, cols = sorted(set(ps)), sorted(set(gs))
-        if len(rows) == 1 or len(cols) == 1:
-            # A single edge or a star: its heaviest edge, the first among
-            # equals, is the solver's choice on the one-row (or one-column)
-            # sub-matrix.
-            chosen.append(max(e, key=wl.__getitem__))
-            continue
         row_of = {v: a for a, v in enumerate(rows)}
         col_of = {v: a for a, v in enumerate(cols)}
         r, c = [row_of[v] for v in ps], [col_of[v] for v in gs]

@@ -222,6 +222,15 @@ class TestAllRadii:
         singles = [adaptive_radius(p, gt, k=4, floor=1e-3) for p in pred]
         np.testing.assert_allclose(prof.radii, singles, atol=1e-15)
 
+    def test_scan_in_several_blocks_matches_per_point_calls(self):
+        # 1000 x 200 pairs: the full scan runs in several row blocks.
+        rng = np.random.default_rng(18)
+        gt = PointSet(rng.uniform(0, 30, (200, 2)))
+        pred = PointSet(rng.uniform(-5, 35, (1000, 2)))
+        prof = all_radii(pred, gt, k=3, floor=1e-3)
+        singles = [adaptive_radius(p, gt, k=3, floor=1e-3) for p in pred]
+        np.testing.assert_allclose(prof.radii, singles, atol=1e-15)
+
     def test_grid_path_agrees_with_scan_path(self):
         rng = np.random.default_rng(19)
         gt_big = PointSet(rng.uniform(0, 100, (300, 2)))   # grid backend

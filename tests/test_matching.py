@@ -362,13 +362,16 @@ class TestSparsePath:
 
     @pytest.mark.parametrize("n, m", [(40000, 200), (3000, 3000)])
     def test_memory_follows_the_edges_not_n_times_m(self, n, m):
+        # Radii and edges both come from match_points: a full scan of the
+        # 200 targets (below the grid threshold) and grid queries on 3000.
+        # With k = 1 each prediction reaches only its nearest gt, so the
+        # components stay small even with far more predictions than gt.
         rng = np.random.default_rng(16)
         gt = PointSet(rng.uniform(0, 1000, (m, 2)))
         pred = PointSet(rng.uniform(0, 1000, (n, 2)))
-        radii = RadiusProfile(np.full(n, 2.0), k=5)
         tracemalloc.start()
         try:
-            result = match_with_radii(pred, gt, radii)
+            result = match_points(pred, gt, MatchConfig(k=1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
