@@ -7,7 +7,9 @@ the discrete mass of a well-separated interior point is 1 to within
 quantization); decoding finds strict 8-neighborhood local maxima, with
 equal-valued plateaus collapsed to their centroid, and greedily
 suppresses peaks closer than a minimum distance (higher value wins, scan
-order breaks ties).
+order breaks ties). Suppression walks conflict lists from
+:func:`countmatch.geometry.pairs_within` (full scan or grid index), so it
+costs O(peaks + close pairs) rather than O(peaks^2).
 
 Maps serialize either as row-major CSV or as a compact binary grid:
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Point, PointLabel, PointSet
+from .geometry import PointLabel, PointSet, pairs_within
 
 BINARY_MAGIC = b"DMAP1\x00"
 
@@ -113,12 +115,19 @@ def extract_peaks(dmap: DensityMap, threshold: float, min_distance: float = 1.0)
     and greedily thinned so no two returned peaks are closer than
     ``min_distance`` (higher value wins; scan order breaks ties). Output
     order follows the greedy acceptance order, making repeated calls
-    identical.
+    identical. ``threshold`` must be finite and ``min_distance`` finite
+    and >= 1.
+
+    The greedy pass visits the peaks in that order once: a peak is kept
+    unless a kept earlier peak lies closer than ``min_distance``. The
+    close pairs come from :func:`~countmatch.geometry.pairs_within`, so
+    suppression costs O(peaks + close pairs), with the same distances
+    and the same result as checking every pair.
     """
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    if min_distance < 1:
-        raise ValueError("min_distance must be >= 1")
+    if not (math.isfinite(min_distance) and min_distance >= 1):
+        raise ValueError("min_distance must be finite and >= 1")
     vals = dmap.values
     h, w = vals.shape
     if h == 0 or w == 0:
@@ -165,11 +174,19 @@ def extract_peaks(dmap: DensityMap, threshold: float, min_distance: float = 1.0)
             raw_peaks.append((float(value), math.fsum(ys) / len(ys), math.fsum(xs) / len(xs)))
 
     raw_peaks.sort(key=lambda p: (-p[0], p[1], p[2]))
-    accepted: list[tuple[float, float]] = []  # (y, x)
-    for value, cy, cx in raw_peaks:
-        if all(np.hypot(cx - ax, cy - ay) >= min_distance for ay, ax in accepted):
-            accepted.append((cy, cx))
-    return PointSet([Point(x, y) for y, x in accepted], label=PointLabel.PREDICTED)
+    coords = np.array([(cx, cy) for _, cy, cx in raw_peaks]).reshape(-1, 2)
+    # pairs_within keeps d <= r; a conflict is a later peak strictly closer.
+    n = len(coords)
+    raw = PointSet.from_coords(coords)
+    qi, ti, d = pairs_within(raw, raw, np.full(n, float(min_distance)))
+    close = (ti > qi) & (d < min_distance)
+    qi, ti = qi[close], ti[close]
+    starts = np.searchsorted(qi, np.arange(n + 1))
+    suppressed = np.zeros(n, dtype=bool)
+    for i in range(n):
+        if not suppressed[i]:
+            suppressed[ti[starts[i]:starts[i + 1]]] = True
+    return PointSet.from_coords(coords[~suppressed], label=PointLabel.PREDICTED)
 
 
 def save_csv(dmap: DensityMap, path) -> None:

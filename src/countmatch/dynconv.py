@@ -13,14 +13,12 @@ gate logits are the input logits plus the channel's spatial mean, i.e. a
 residual over global average pooling.
 
 Everything here is written for correctness and testability, not speed:
-the accumulation order is fixed, so results are reproducible bit for bit,
-including under the optional row-parallel execution.
+the accumulation order is fixed, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -133,15 +131,13 @@ def _coefficient_grids(field: ParamField):
 
 
 def dynamic_gaussian_conv(feature: FeatureMap, field: ParamField, size: int,
-                          renormalize: bool = False,
-                          row_parallel: bool = False) -> FeatureMap:
+                          renormalize: bool = False) -> FeatureMap:
     """Filter every pixel with its own Gaussian kernel.
 
     ``out[c, y, x] = sum_{u,v} feature[c, y+v, x+u] * K_{y,x}(u, v)`` with
     zero padding outside the image and K synthesized from the squashed
     parameters at (y, x). With ``renormalize`` each per-pixel kernel is
-    divided by its discrete sum. ``row_parallel`` computes output rows in
-    parallel chunks; the result is bit-identical to the serial path.
+    divided by its discrete sum.
     """
     if size < 3 or size % 2 == 0:
         raise ValueError(f"kernel size must be odd and >= 3, got {size}")
@@ -158,37 +154,25 @@ def dynamic_gaussian_conv(feature: FeatureMap, field: ParamField, size: int,
     # One combined exponent per kernel offset, the exact expression the
     # kernel module evaluates, so an impulse reproduces a synthesized
     # kernel bit for bit.
-    def coeff_at(u: int, v: int, y0: int, y1: int) -> np.ndarray:
-        expo = (-((u - dx[y0:y1]) ** 2) / sx2[y0:y1]
-                - ((v - dy[y0:y1]) ** 2) / sy2[y0:y1])
-        return norm[y0:y1] * np.exp(expo)
+    def coeff_at(u: int, v: int) -> np.ndarray:
+        expo = -((u - dx) ** 2) / sx2 - ((v - dy) ** 2) / sy2
+        return norm * np.exp(expo)
 
     denom = None
     if renormalize:
         denom = np.zeros((h, w))
         for v in range(-half, half + 1):
             for u in range(-half, half + 1):
-                denom += coeff_at(u, v, 0, h)
+                denom += coeff_at(u, v)
 
-    def conv_rows(y0: int, y1: int) -> np.ndarray:
-        out = np.zeros((c, y1 - y0, w))
-        for v in range(-half, half + 1):
-            for u in range(-half, half + 1):
-                coeff = coeff_at(u, v, y0, y1)
-                if denom is not None:
-                    coeff = coeff / denom[y0:y1]
-                out += coeff[None, :, :] * padded[:, y0 + v + half:y1 + v + half,
-                                                  u + half:u + half + w]
-        return out
-
-    if not row_parallel or h < 8:
-        return FeatureMap(conv_rows(0, h))
-    n_chunks = min(4, h)
-    bounds = np.linspace(0, h, n_chunks + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-        blocks = list(pool.map(lambda se: conv_rows(*se),
-                               zip(bounds[:-1], bounds[1:])))
-    return FeatureMap(np.concatenate(blocks, axis=1))
+    out = np.zeros((c, h, w))
+    for v in range(-half, half + 1):
+        for u in range(-half, half + 1):
+            coeff = coeff_at(u, v)
+            if denom is not None:
+                coeff = coeff / denom
+            out += coeff[None, :, :] * padded[:, v + half:v + half + h, u + half:u + half + w]
+    return FeatureMap(out)
 
 
 def multiscale_forward(feature: FeatureMap, field: ParamField,

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from countmatch.densitymap import (
     DensityMap,
@@ -11,7 +15,7 @@ from countmatch.densitymap import (
     save_binary,
     save_csv,
 )
-from countmatch.geometry import PointLabel, PointSet, pairwise_distances
+from countmatch.geometry import GRID_BACKEND_THRESHOLD, PointLabel, PointSet, pairwise_distances
 from countmatch.synth import sample_separated
 
 
@@ -114,6 +118,13 @@ class TestExtractPeaks:
         with pytest.raises(ValueError, match="min_distance"):
             extract_peaks(DensityMap(np.zeros((4, 4))), 0.1, min_distance=0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_min_distance_rejected(self, bad):
+        vals = np.zeros((8, 8))
+        vals[2, 2] = vals[5, 5] = 1.0
+        with pytest.raises(ValueError, match="min_distance"):
+            extract_peaks(DensityMap(vals), 0.5, min_distance=bad)
+
     def test_round_trip_recovery(self):
         # Separation >= 8 sigma and margin >= 3 sigma: rendering then peak
         # extraction recovers every point within a pixel.
@@ -131,6 +142,120 @@ class TestExtractPeaks:
     def test_default_threshold(self):
         dm = DensityMap(np.array([[0.0, 4.0], [1.0, 2.0]]))
         assert default_threshold(dm) == 2.0
+
+
+_NEIGHBORS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+
+
+def _reference_extract_peaks(vals, threshold, min_distance):
+    """The original decoder: flood-filled plateau maxima, then an O(P^2)
+    greedy that checks each candidate against every accepted peak."""
+    h, w = vals.shape
+    padded = np.full((h + 2, w + 2), -np.inf)
+    padded[1:-1, 1:-1] = vals
+    nbr_max = np.full((h, w), -np.inf)
+    for oy, ox in _NEIGHBORS:
+        np.maximum(nbr_max, padded[1 + oy:1 + oy + h, 1 + ox:1 + ox + w], out=nbr_max)
+    visited = np.zeros((h, w), dtype=bool)
+    raw_peaks = []
+    for y, x in np.argwhere((vals >= nbr_max) & (vals >= threshold)):
+        if visited[y, x]:
+            continue
+        value = vals[y, x]
+        stack = [(int(y), int(x))]
+        visited[y, x] = True
+        members = []
+        is_peak = True
+        while stack:
+            cy, cx = stack.pop()
+            members.append((cy, cx))
+            for oy, ox in _NEIGHBORS:
+                ny, nx = cy + oy, cx + ox
+                if not (0 <= ny < h and 0 <= nx < w):
+                    continue
+                if vals[ny, nx] == value:
+                    if not visited[ny, nx]:
+                        visited[ny, nx] = True
+                        stack.append((ny, nx))
+                elif vals[ny, nx] > value:
+                    is_peak = False
+        if is_peak:
+            ys = [m[0] for m in members]
+            xs = [m[1] for m in members]
+            raw_peaks.append((float(value), math.fsum(ys) / len(ys), math.fsum(xs) / len(xs)))
+    raw_peaks.sort(key=lambda p: (-p[0], p[1], p[2]))
+    accepted = []
+    for value, cy, cx in raw_peaks:
+        if all(np.hypot(cx - ax, cy - ay) >= min_distance for ay, ax in accepted):
+            accepted.append((cy, cx))
+    return np.array([(x, y) for y, x in accepted]).reshape(-1, 2), len(raw_peaks)
+
+
+@st.composite
+def peak_maps(draw):
+    """Maps with tied values, plateaus, clusters denser than min_distance,
+    and twin components (a centre pixel inside a square ring of the same
+    value: equal value, equal centroid)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["plateaus", "spikes", "grid"]))
+    if kind == "plateaus":
+        # Quantized noise: many equal-valued plateaus and tied maxima.
+        h, w = draw(st.integers(4, 48)), draw(st.integers(4, 48))
+        vals = rng.integers(0, draw(st.integers(2, 6)), (h, w)).astype(np.float64)
+    else:
+        # Isolated spikes on an even lattice, packed into one window so
+        # neighbours sit 2 px apart; on the grid side there are enough raw
+        # peaks for pairs_within to use the grid index.
+        count = draw(st.integers(GRID_BACKEND_THRESHOLD + 4, GRID_BACKEND_THRESHOLD + 140)
+                     if kind == "grid" else st.integers(1, 120))
+        side = 2 * max(math.isqrt(count - 1) + 1, draw(st.integers(1, 40)))
+        h, w = side + 10, side + 10
+        sites = rng.choice((side // 2) ** 2, count, replace=False)
+        vals = np.zeros((h, w))
+        vals[5 + 2 * (sites // (side // 2)), 5 + 2 * (sites % (side // 2))] = \
+            rng.integers(2, 4, count)
+        for _ in range(draw(st.integers(0, 3))):
+            cy, cx = rng.integers(2, h - 2), rng.integers(2, w - 2)
+            vals[cy - 2:cy + 3, cx - 2:cx + 3] = 3.0
+            vals[cy - 1:cy + 2, cx - 1:cx + 2] = 0.0
+            vals[cy, cx] = 3.0
+    threshold = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    min_distance = draw(st.one_of(st.sampled_from([1.0, 2.0, math.sqrt(8.0), 4.0, 12.0]),
+                                  st.floats(1.0, 12.0)))
+    return vals, threshold, min_distance
+
+
+class TestSuppressionMatchesGreedyReference:
+    @settings(max_examples=120, deadline=None)
+    @given(peak_maps())
+    def test_same_peaks_same_order(self, case):
+        vals, threshold, min_distance = case
+        expected, _ = _reference_extract_peaks(vals, threshold, min_distance)
+        got = extract_peaks(DensityMap(vals), threshold, min_distance).coords
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("count", [GRID_BACKEND_THRESHOLD // 2, 2 * GRID_BACKEND_THRESHOLD])
+    def test_both_backends_dense_cluster(self, count):
+        # Random spikes, many 1-2 px apart; at min_distance 3 some are suppressed.
+        rng = np.random.default_rng(count)
+        vals = np.zeros((64, 64))
+        vals[rng.integers(0, 64, count), rng.integers(0, 64, count)] = rng.integers(1, 4, count)
+        expected, raw = _reference_extract_peaks(vals, 0.5, 3.0)
+        assert (raw >= GRID_BACKEND_THRESHOLD) == (count > GRID_BACKEND_THRESHOLD)
+        assert len(expected) < raw
+        got = extract_peaks(DensityMap(vals), 0.5, 3.0).coords
+        assert got.tobytes() == expected.tobytes()
+
+    def test_twin_components_collapse_to_one(self):
+        vals = np.zeros((9, 9))
+        vals[2:7, 2:7] = 2.0
+        vals[3:6, 3:6] = 0.0
+        vals[4, 4] = 2.0
+        expected, raw = _reference_extract_peaks(vals, 1.0, 1.0)
+        assert raw == 2
+        got = extract_peaks(DensityMap(vals), 1.0, 1.0).coords
+        assert got.tolist() == expected.tolist() == [[4.0, 4.0]]
 
 
 class TestSerialization:

@@ -158,14 +158,6 @@ class TestDynamicGaussianConv:
         with pytest.raises(ValueError):
             dynamic_gaussian_conv(fm, field, 4)
 
-    def test_row_parallel_bit_identical(self):
-        rng = np.random.default_rng(6)
-        fm = FeatureMap(rng.normal(size=(3, 32, 16)))
-        field = ParamField(rng.normal(size=(3, 32, 16)) * 0.7, sx=1.2, sy=0.8)
-        serial = dynamic_gaussian_conv(fm, field, 7)
-        parallel = dynamic_gaussian_conv(fm, field, 7, row_parallel=True)
-        np.testing.assert_array_equal(serial.values, parallel.values)
-
 
 class TestMultiscaleForward:
     def test_first_block_is_identity(self):
