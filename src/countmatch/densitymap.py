@@ -141,6 +141,11 @@ def extract_peaks(dmap: DensityMap, threshold: float, min_distance: float = 1.0)
     for oy, ox in _NEIGHBOR_OFFSETS:
         np.maximum(nbr_max, padded[1 + oy:1 + oy + h, 1 + ox:1 + ox + w], out=nbr_max)
     candidate = (vals >= nbr_max) & (vals >= threshold)
+    lowest = vals.min()
+    if lowest < vals.max():
+        # A plateau at the map minimum has only larger outside neighbors,
+        # so it is never a maximum; skip flood-filling the background.
+        candidate &= vals > lowest
 
     visited = np.zeros((h, w), dtype=bool)
     raw_peaks: list[tuple[float, float, float]] = []  # (value, cy, cx)

@@ -3,9 +3,12 @@
 Coordinates follow the image convention (x grows rightward, y grows
 downward, units are pixels). Two queries are provided: the k nearest
 targets of a point, and every target within a per-query radius (the
-edges of the matcher). Every query here is exact: the uniform-grid index
-used for large target sets returns the same distances as a full scan,
-it only prunes the candidate set.
+edges of the matcher). Both take whole batches of queries. Below
+``GRID_BACKEND_THRESHOLD`` targets they scan every target in bounded
+blocks; at or above it they ask a uniform-grid index whose one query is
+a batched disc query, and k-NN becomes disc queries whose radius doubles
+until each holds k targets. Every query here is exact: the grid returns
+the same distances as a full scan, it only prunes the candidate set.
 
 The adaptive radius of a query point is the mean of its distances to the
 k nearest target points, clamped below by a configurable floor. It
@@ -79,7 +82,16 @@ class PointSet:
             else:
                 x, y = p
                 rows.append((float(x), float(y)))
-        coords = np.asarray(rows, dtype=np.float64).reshape(-1, 2)
+        self._freeze(np.asarray(rows, dtype=np.float64).reshape(-1, 2), label)
+
+    @classmethod
+    def from_coords(cls, coords: np.ndarray, label: PointLabel = PointLabel.UNLABELED) -> "PointSet":
+        """Build a set directly from an (n, 2) array (copied)."""
+        ps = cls.__new__(cls)
+        ps._freeze(np.array(coords, dtype=np.float64).reshape(-1, 2), label)
+        return ps
+
+    def _freeze(self, coords: np.ndarray, label: PointLabel) -> None:
         if coords.size and not np.all(np.isfinite(coords)):
             bad = np.nonzero(~np.isfinite(coords).all(axis=1))[0].tolist()
             raise ValueError(f"non-finite coordinates at indices {bad}")
@@ -87,21 +99,6 @@ class PointSet:
         self._coords = coords
         self._label = label
         self._grid = None
-
-    @classmethod
-    def from_coords(cls, coords: np.ndarray, label: PointLabel = PointLabel.UNLABELED) -> "PointSet":
-        """Build a set directly from an (n, 2) array (copied)."""
-        arr = np.asarray(coords, dtype=np.float64).reshape(-1, 2)
-        ps = cls.__new__(cls)
-        arr = arr.copy()
-        if arr.size and not np.all(np.isfinite(arr)):
-            bad = np.nonzero(~np.isfinite(arr).all(axis=1))[0].tolist()
-            raise ValueError(f"non-finite coordinates at indices {bad}")
-        arr.setflags(write=False)
-        ps._coords = arr
-        ps._label = label
-        ps._grid = None
-        return ps
 
     @property
     def coords(self) -> np.ndarray:
@@ -159,18 +156,14 @@ class _UniformGrid:
     Cell size is chosen so the expected bucket occupancy is O(1). Point
     indices are stored sorted by cell (column-major: cell id = ix * ny +
     iy), so the cells of one grid column over a row range are one
-    contiguous slice of ``order``. Queries visit only cells inside the
-    grid: a query far outside the cloud costs no more than one next to it.
-
-    ``knn`` expands Chebyshev rings of cells around the query's cell,
-    starting at the first ring that touches the grid; a ring bound
-    guarantees exactness: once the current k-th best distance is at most
-    ``r * cell`` every unvisited point (Chebyshev cell distance > r) is
-    too far to matter. ``within`` scans the cells of the query disc's
-    bounding box.
+    contiguous slice of ``order``; ``counts`` is a summed-area table of
+    the cell occupancies. The one query, :meth:`within`, takes a whole
+    batch of discs and visits, for each, only the cells of its bounding
+    box that lie inside the grid: a query far outside the cloud costs no
+    more than one next to it.
     """
 
-    __slots__ = ("coords", "origin", "cell", "shape", "order", "starts")
+    __slots__ = ("coords", "origin", "top", "cell", "shape", "order", "starts", "counts")
 
     def __init__(self, coords: np.ndarray):
         self.coords = coords
@@ -180,86 +173,65 @@ class _UniformGrid:
         extent = float(max(hi[0] - lo[0], hi[1] - lo[1]))
         ncells = max(1, int(math.sqrt(n)))
         self.cell = extent / ncells if extent > 0 else 1.0
-        self.origin = lo
+        self.origin, self.top = lo, hi
         ij = np.floor((coords - lo) / self.cell).astype(np.int64)
         nx = int(ij[:, 0].max()) + 1
         ny = int(ij[:, 1].max()) + 1
         self.shape = (nx, ny)
         cell_id = ij[:, 0] * ny + ij[:, 1]
         self.order = np.argsort(cell_id, kind="stable")
-        self.starts = np.concatenate(
-            ([0], np.cumsum(np.bincount(cell_id, minlength=nx * ny))))
+        per_cell = np.bincount(cell_id, minlength=nx * ny)
+        self.starts = np.concatenate(([0], np.cumsum(per_cell)))
+        self.counts = np.zeros((nx + 1, ny + 1), dtype=np.int64)
+        self.counts[1:, 1:] = per_cell.reshape(nx, ny).cumsum(axis=0).cumsum(axis=1)
 
-    def _cell_of(self, x: float, y: float) -> tuple[int, int]:
-        return (int(math.floor((x - self.origin[0]) / self.cell)),
-                int(math.floor((y - self.origin[1]) / self.cell)))
+    def within(self, queries: np.ndarray,
+               radii: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+        """Points at distance <= radii[i] from queries[i], for every i.
 
-    def _gather(self, spans: list[tuple[int, int, int]]) -> np.ndarray:
-        """Point indices in the column spans (ix, iy0, iy1), bounds inclusive."""
+        Yields ``(chunk, qi, ti, d)`` for consecutive slices ``chunk`` of
+        the queries: query indices (non-decreasing, inside ``chunk``),
+        point indices (in no set order within a query) and distances. A
+        chunk gathers at most ``_SCAN_BLOCK_CELLS`` candidate points and
+        box columns, unless one query alone needs more.
+        """
+        # Widen each box by a few ulps so rounding in q -/+ r cannot drop
+        # a point lying exactly on the disc's edge. Cell indices are
+        # clipped to the grid before the integer cast, so far queries
+        # neither overflow it nor visit empty cells.
+        reach = (radii + 1e-12 * (np.abs(queries).sum(axis=1) + radii))[:, None]
+        lo = np.clip(np.floor((queries - reach - self.origin) / self.cell),
+                     0, self.shape).astype(np.int64)
+        hi = np.clip(np.floor((queries + reach - self.origin) / self.cell) + 1,
+                     0, self.shape).astype(np.int64)
+        ncols = np.where(hi[:, 1] > lo[:, 1], hi[:, 0] - lo[:, 0], 0)
+        c = self.counts
+        boxed = c[hi[:, 0], hi[:, 1]] - c[lo[:, 0], hi[:, 1]] - c[hi[:, 0], lo[:, 1]] \
+            + c[lo[:, 0], lo[:, 1]]
+        cost = np.cumsum(boxed + ncols)
         ny = self.shape[1]
-        starts = self.starts
-        parts = [self.order[starts[ix * ny + y0]:starts[ix * ny + y1 + 1]]
-                 for ix, y0, y1 in spans]
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        s = 0
+        while s < len(queries):
+            spent = cost[s - 1] if s else 0
+            e = max(int(np.searchsorted(cost, spent + _SCAN_BLOCK_CELLS, side="right")), s + 1)
+            cols = np.repeat(np.arange(s, e), ncols[s:e])
+            ix = _ranges(lo[s:e, 0], ncols[s:e]) * ny
+            first = self.starts[ix + lo[cols, 1]]
+            lens = self.starts[ix + hi[cols, 1]] - first
+            ti = self.order[_ranges(first, lens)]
+            qi = np.repeat(cols, lens)
+            pts, q = self.coords[ti], queries[qi]
+            d = np.hypot(pts[:, 0] - q[:, 0], pts[:, 1] - q[:, 1])
+            keep = d <= radii[qi]
+            yield slice(s, e), qi[keep], ti[keep], d[keep]
+            s = e
 
-    def _ring_spans(self, cx: int, cy: int, r: int) -> list[tuple[int, int, int]]:
-        """Column spans of the cells at Chebyshev distance r from (cx, cy),
-        clipped to the grid."""
-        nx, ny = self.shape
-        y0, y1 = max(cy - r, 0), min(cy + r, ny - 1)
-        if y0 > y1:
-            return []
-        spans = []
-        for ix in range(max(cx - r, 0), min(cx + r, nx - 1) + 1):
-            if ix == cx - r or ix == cx + r:
-                spans.append((ix, y0, y1))
-                continue
-            if cy - r >= 0:
-                spans.append((ix, cy - r, cy - r))
-            if cy + r < ny:
-                spans.append((ix, cy + r, cy + r))
-        return spans
 
-    def _distances(self, idx: np.ndarray, q: np.ndarray) -> np.ndarray:
-        pts = self.coords[idx]
-        return np.hypot(pts[:, 0] - q[0], pts[:, 1] - q[1])
-
-    def knn(self, q: np.ndarray, k: int) -> np.ndarray:
-        n = self.coords.shape[0]
-        kk = min(k, n)
-        cx, cy = self._cell_of(q[0], q[1])
-        nx, ny = self.shape
-        # Rings closer than r0 hold no cell of the grid; past max_r every
-        # cell has been visited.
-        r0 = max(-cx, cx - nx + 1, -cy, cy - ny + 1, 0)
-        max_r = max(cx, nx - 1 - cx, cy, ny - 1 - cy, 0) + 1
-        best = np.empty(0, dtype=np.float64)
-        for r in range(r0, max_r + 1):
-            idx = self._gather(self._ring_spans(cx, cy, r))
-            if idx.size:
-                best = np.sort(np.concatenate([best, self._distances(idx, q)]))[:kk]
-            if best.shape[0] == kk and best[-1] <= r * self.cell:
-                break
-        return best
-
-    def within(self, q: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """Indices (increasing) and distances of the points at distance
-        <= r from q."""
-        # Widen the box by a few ulps so rounding in q -/+ r cannot drop a
-        # point lying exactly on the disc's edge.
-        reach = r + 1e-12 * (abs(q[0]) + abs(q[1]) + r)
-        x0, y0 = self._cell_of(q[0] - reach, q[1] - reach)
-        x1, y1 = self._cell_of(q[0] + reach, q[1] + reach)
-        nx, ny = self.shape
-        y0, y1 = max(y0, 0), min(y1, ny - 1)
-        spans = [(ix, y0, y1) for ix in range(max(x0, 0), min(x1, nx - 1) + 1)] \
-            if y0 <= y1 else []
-        idx = self._gather(spans)
-        d = self._distances(idx, q)
-        keep = d <= r
-        idx, d = idx[keep], d[keep]
-        order = np.argsort(idx)
-        return idx[order], d[order]
+def _ranges(first: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(f, f + n)`` over the pairs (f, n)."""
+    ends = np.cumsum(length)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(first - ends + length, length) + np.arange(total)
 
 
 def _as_query(p: PointLike) -> np.ndarray:
@@ -288,19 +260,7 @@ def knn_distances(query: PointLike, targets: PointSet, k: int) -> np.ndarray:
         ``min(k, len(targets))`` Euclidean distances in non-decreasing
         order. This is a prefix of the fully sorted distance list.
     """
-    if k < 1:
-        raise ValueError("invalid k")
-    if len(targets) == 0:
-        raise ValueError("no ground truth: target set is empty")
-    q = _as_query(query)
-    n = len(targets)
-    kk = min(k, n)
-    if n < GRID_BACKEND_THRESHOLD:
-        c = targets.coords
-        d = np.hypot(c[:, 0] - q[0], c[:, 1] - q[1])
-        part = np.partition(d, kk - 1)[:kk]
-        return np.sort(part)
-    return targets._index().knn(q, kk)
+    return _knn(_as_query(query)[None, :], targets, k)[0]
 
 
 def adaptive_radius(p: PointLike, gt: PointSet, k: int = DEFAULT_K,
@@ -335,35 +295,59 @@ def _scan_blocks(queries: np.ndarray, targets: np.ndarray) -> Iterator[tuple[int
         yield s, np.hypot(diff[..., 0], diff[..., 1])
 
 
+def _knn(queries: np.ndarray, targets: PointSet, k: int) -> np.ndarray:
+    """Row i: the ``min(k, len(targets))`` smallest distances from
+    ``queries[i]`` to ``targets``, in non-decreasing order.
+
+    Below ``GRID_BACKEND_THRESHOLD`` targets the queries are scanned
+    against every target in bounded blocks. At or above it each query
+    asks the grid for a disc that starts at the distance to the cloud's
+    bounding box plus two cells and doubles until it holds k targets; a
+    disc holding k targets contains the k nearest, so the result is
+    exact. Memory is O(len(queries) * k + block).
+    """
+    if k < 1:
+        raise ValueError("invalid k")
+    m = len(targets)
+    if m == 0:
+        raise ValueError("no ground truth: target set is empty")
+    kk = min(k, m)
+    out = np.empty((len(queries), kk), dtype=np.float64)
+    if m < GRID_BACKEND_THRESHOLD:
+        for s, d in _scan_blocks(queries, targets.coords):
+            out[s:s + len(d)] = np.sort(np.partition(d, kk - 1, axis=1)[:, :kk], axis=1)
+        return out
+    grid = targets._index()
+    gap = np.maximum(np.maximum(grid.origin - queries, queries - grid.top), 0)
+    radii = np.hypot(gap[:, 0], gap[:, 1]) + 2 * grid.cell
+    todo = np.arange(len(queries))
+    while todo.size:
+        short = [todo[:0]]
+        for chunk, qi, _, d in grid.within(queries[todo], radii[todo]):
+            counts = np.bincount(qi - chunk.start, minlength=chunk.stop - chunk.start)
+            d = d[np.lexsort((d, qi))]
+            full = counts >= kk
+            first = (np.cumsum(counts) - counts)[full]
+            rows = todo[chunk]
+            out[rows[full]] = d[first[:, None] + np.arange(kk)]
+            short.append(rows[~full])
+        todo = np.concatenate(short)
+        radii[todo] *= 2
+    return out
+
+
 def all_radii(pred: PointSet, gt: PointSet, k: int = DEFAULT_K,
               floor: float = DEFAULT_RADIUS_FLOOR) -> RadiusProfile:
     """Adaptive radius of every prediction against one ground-truth set.
 
-    Below ``GRID_BACKEND_THRESHOLD`` targets the predictions are scanned
-    against every target in bounded blocks; at or above it each one asks
-    the uniform grid. Memory is O(len(pred) + block), never
-    O(len(pred) * len(gt)).
+    The k nearest distances come from one batched query (full scan below
+    ``GRID_BACKEND_THRESHOLD`` targets, uniform grid at or above it).
+    Memory is O(len(pred) * k + block), never O(len(pred) * len(gt)).
     """
-    if k < 1:
-        raise ValueError("invalid k")
-    if len(gt) == 0:
-        raise ValueError("no ground truth: target set is empty")
     if not (floor > 0 and math.isfinite(floor)):
         raise ValueError("radius floor must be positive and finite")
-    n_gt = len(gt)
-    kk = min(k, n_gt)
-    if len(pred) == 0:
-        return RadiusProfile(np.empty(0, dtype=np.float64), k)
-    radii = np.empty(len(pred), dtype=np.float64)
-    if n_gt < GRID_BACKEND_THRESHOLD:
-        for s, d in _scan_blocks(pred.coords, gt.coords):
-            nearest = np.sort(np.partition(d, kk - 1, axis=1)[:, :kk], axis=1)
-            radii[s:s + len(d)] = np.maximum(nearest.mean(axis=1), floor)
-        return RadiusProfile(radii, k)
-    grid = gt._index()
-    for i, q in enumerate(pred.coords):
-        radii[i] = max(float(grid.knn(q, kk).mean()), floor)
-    return RadiusProfile(radii, k)
+    nearest = _knn(pred.coords, gt, k)
+    return RadiusProfile(np.maximum(nearest.mean(axis=1), floor), k)
 
 
 def pairwise_distances(a: PointSet, b: PointSet) -> np.ndarray:
@@ -382,8 +366,8 @@ def pairs_within(queries: PointSet, targets: PointSet,
     ordered by query index, then target index. Distances are bit-identical
     to :func:`pairwise_distances`. Below ``GRID_BACKEND_THRESHOLD``
     targets the queries are scanned against every target in bounded
-    blocks; at or above it each query asks the uniform grid. Memory is
-    O(pairs found + block), never O(len(queries) * len(targets)).
+    blocks; at or above it they go to the uniform grid in one batch.
+    Memory is O(pairs found + block), never O(len(queries) * len(targets)).
     """
     radii = np.asarray(radii, dtype=np.float64)
     n, m = len(queries), len(targets)
@@ -399,8 +383,7 @@ def pairs_within(queries: PointSet, targets: PointSet,
             qi, ti = np.nonzero(d <= radii[s:s + len(d), None])
             parts.append((qi + s, ti, d[qi, ti]))
     else:
-        grid = targets._index()
-        for i, (q, r) in enumerate(zip(qc, radii)):
-            ti, d = grid.within(q, float(r))
-            parts.append((np.full(ti.size, i, dtype=np.int64), ti, d))
+        for _, qi, ti, d in targets._index().within(qc, radii):
+            order = np.lexsort((ti, qi))
+            parts.append((qi[order], ti[order], d[order]))
     return tuple(np.concatenate(col) for col in zip(*parts))

@@ -57,6 +57,13 @@ class TestExtractPeaks:
         dm = DensityMap(np.zeros((32, 32)))
         assert len(extract_peaks(dm, threshold=0.1)) == 0
 
+    @pytest.mark.parametrize("threshold", [0.0, 2.0])
+    def test_constant_map_is_one_peak_at_its_centroid(self, threshold):
+        # A constant map is one plateau with no outside neighbor, so it is
+        # a maximum although its value is the map minimum.
+        dm = DensityMap(np.full((5, 8), 2.0))
+        assert extract_peaks(dm, threshold).coords.tolist() == [[3.5, 2.0]]
+
     def test_single_gaussian_recovered(self):
         dm = render_density(PointSet([(32, 32)]), 2.0, 64, 64)
         peaks = extract_peaks(dm, threshold=0.01, min_distance=2.0)
@@ -219,7 +226,7 @@ def peak_maps(draw):
             vals[cy - 2:cy + 3, cx - 2:cx + 3] = 3.0
             vals[cy - 1:cy + 2, cx - 1:cx + 2] = 0.0
             vals[cy, cx] = 3.0
-    threshold = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    threshold = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5]))
     min_distance = draw(st.one_of(st.sampled_from([1.0, 2.0, math.sqrt(8.0), 4.0, 12.0]),
                                   st.floats(1.0, 12.0)))
     return vals, threshold, min_distance

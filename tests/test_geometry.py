@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from countmatch.geometry import (
     GRID_BACKEND_THRESHOLD,
@@ -109,23 +111,79 @@ class TestKnnDistances:
         assert d.tolist() == [0.0, 0.0, 0.0]
 
     def test_grid_query_far_outside_the_cloud(self):
-        # Rings between the query and the grid hold no cell; skipping them
-        # keeps a query 3e4 px from a 100 px cloud as cheap as a near one.
+        # Only cells inside the grid are visited, so queries up to 3e4 px
+        # from a 100 px cloud cost no more than queries next to it.
         rng = np.random.default_rng(37)
         targets = PointSet(rng.uniform(0, 100, (400, 2)))
-        grid = targets._index()
-        queries = [(3e4, 50.0), (-3e4, -3e4), (50.0, 3.00001e4), (-2e4, 3e4)]
+        far = [(3e4, 50.0), (-3e4, -3e4), (50.0, 3.00001e4), (-2e4, 3e4)]
+        queries = PointSet.from_coords(np.vstack([far, rng.uniform(-3e4, 3e4, (300, 2))]))
+        full = pairwise_distances(queries, targets)
+        r = np.sort(full, axis=1)[:, 7]
         t0 = time.perf_counter()
-        for q in queries:
+        for q in far:
             np.testing.assert_array_equal(
                 knn_distances(q, targets, 5), brute_knn(q, targets, 5))
-            q = np.asarray(q)
-            full = np.hypot(*(targets.coords - q).T)
-            r = float(np.sort(full)[7])
-            idx, d = grid.within(q, r)
-            np.testing.assert_array_equal(idx, np.flatnonzero(full <= r))
-            np.testing.assert_array_equal(d, full[idx])
+        radii = all_radii(queries, targets, k=5, floor=1e-9).radii
+        qi, ti, d = pairs_within(queries, targets, r)
         assert time.perf_counter() - t0 < 0.1
+        np.testing.assert_array_equal(radii, np.sort(full, axis=1)[:, :5].mean(axis=1))
+        want_i, want_j = np.nonzero(full <= r[:, None])
+        np.testing.assert_array_equal(qi, want_i)
+        np.testing.assert_array_equal(ti, want_j)
+        np.testing.assert_array_equal(d, full[want_i, want_j])
+
+
+@st.composite
+def neighbour_cases(draw):
+    """Targets on either side of GRID_BACKEND_THRESHOLD in adversarial
+    layouts, queries near and 1e6 px away, radii from 0 to past the cloud."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.one_of(st.integers(1, GRID_BACKEND_THRESHOLD - 1),
+                       st.integers(GRID_BACKEND_THRESHOLD, GRID_BACKEND_THRESHOLD + 200)))
+    layout = draw(st.sampled_from(["uniform", "coincident", "collinear", "far_cluster", "huge"]))
+    # Half-pixel coordinates give tied distances.
+    targets = np.round(2 * rng.uniform(0, 100, (m, 2))) / 2
+    if layout == "coincident":
+        targets[rng.random(m) < 0.7] = targets[0]
+    elif layout == "collinear":
+        targets[:, 1] = 3.0 if rng.random() < 0.5 else targets[:, 0]
+    elif layout == "far_cluster":
+        targets[rng.random(m) < 0.2] += (1e5, -1e5)
+    angles = rng.uniform(0, 2 * np.pi, 4)
+    queries = np.vstack([np.round(2 * rng.uniform(-20, 120, (draw(st.integers(0, 40)), 2))) / 2,
+                         targets[rng.integers(0, m, 3)],
+                         1e6 * np.column_stack([np.cos(angles), np.sin(angles)])])
+    radii = rng.choice([0.0, 0.5, 3.0, 12.0, 40.0, 2e6], len(queries))
+    if layout == "huge":
+        # Without a huge target the cells stay small, and the cell index of
+        # the huge query overflows int64 unless clipped before the cast.
+        if rng.random() < 0.5:
+            targets[0, rng.integers(2)] = 1e300
+        queries[-1, rng.integers(2)] = -1e300 if rng.random() < 0.5 else 1e300
+        radii[rng.random(len(queries)) < 0.2] = 3e300
+        radii[-1] = 3e300
+    k = draw(st.one_of(st.integers(1, 8), st.just(m + 3)))
+    return PointSet.from_coords(queries), PointSet.from_coords(targets), radii, k
+
+
+class TestGridEqualsFullScan:
+    @settings(max_examples=200, deadline=None)
+    @given(neighbour_cases())
+    def test_pairs_radii_and_knn_bit_equal(self, case):
+        queries, targets, radii, k = case
+        full = pairwise_distances(queries, targets)
+        nearest = np.sort(full, axis=1)[:, :min(k, len(targets))]
+
+        qi, ti, d = pairs_within(queries, targets, radii)
+        want_i, want_j = np.nonzero(full <= radii[:, None])
+        np.testing.assert_array_equal(qi, want_i)
+        np.testing.assert_array_equal(ti, want_j)
+        assert d.tobytes() == full[want_i, want_j].tobytes()
+
+        got = all_radii(queries, targets, k=k, floor=1e-3).radii
+        assert got.tobytes() == np.maximum(nearest.mean(axis=1), 1e-3).tobytes()
+        for i in (0, len(queries) - 1):
+            assert knn_distances(queries.coords[i], targets, k).tobytes() == nearest[i].tobytes()
 
 
 class TestPairsWithin:
