@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import densitymap, metrics, synth
-from .dynconv import FeatureMap, ParamField, multiscale_forward
+from .dynconv import FeatureMap, ParamField, dynamic_gaussian_conv, multiscale_forward
 from .geometry import PointLabel, PointSet
 from .kernels import KernelParams, kernel_gradients, synthesize_kernel
 from .matching import MatchConfig, OutOfRadiusMode, SigmaMode, match_points
@@ -413,7 +413,6 @@ def cmd_bench(args) -> int:
         field = ParamField(rng.normal(size=(3, 64, 64)) * 0.5, sx=1.0, sy=1.0)
         scales = (3, 5, 7, 9)
         total = 0.0
-        from .dynconv import dynamic_gaussian_conv
         for s in scales:
             t0 = time.perf_counter()
             dynamic_gaussian_conv(feature, field, s)

@@ -12,8 +12,13 @@ path, per kernel size) and a channel attention block whose per-channel
 gate logits are the input logits plus the channel's spatial mean, i.e. a
 residual over global average pooling.
 
-Everything here is written for correctness and testability, not speed:
-the accumulation order is fixed, so results are reproducible bit for bit.
+The accumulation order is fixed, so results are reproducible bit for
+bit: kernel offsets are added ring by ring from the centre out (ring r
+holds the offsets with max(|u|, |v|) = r, in row-major order). A kernel
+of size 2r + 1 is rings 0..r of every larger one, so the multi-scale
+Gaussian blocks are the saved partial sums of one pass out to the
+largest size, and each offset's coefficient grid is evaluated once for
+all sizes.
 """
 
 from __future__ import annotations
@@ -130,49 +135,72 @@ def _coefficient_grids(field: ParamField):
     return dx, dy, 2.0 * sigma_x ** 2, 2.0 * sigma_y ** 2, norm
 
 
+def _offset_coefficient(norm: np.ndarray, x_term: np.ndarray, y_term: np.ndarray) -> np.ndarray:
+    """Coefficient grid of one kernel offset (u, v) at every pixel.
+
+    ``x_term = -((u - dx) ** 2) / sx2`` and ``y_term = ((v - dy) ** 2) / sy2``,
+    so this is the exact expression the kernel module evaluates and an
+    impulse reproduces a synthesized kernel bit for bit.
+    """
+    return norm * np.exp(x_term - y_term)
+
+
+def _ring(r: int) -> list[tuple[int, int]]:
+    """Offsets (u, v) with max(|u|, |v|) = r, in row-major order."""
+    return [(u, v) for v in range(-r, r + 1)
+            for u in (range(-r, r + 1) if abs(v) == r else (-r, r))]
+
+
+def _gaussian_pass(feature: FeatureMap, field: ParamField, halves: set[int],
+                   renormalize: bool) -> dict[int, np.ndarray]:
+    """Dynamic Gaussian outputs for every half-width in ``halves``, from one pass.
+
+    The offsets are added ring by ring from the centre out; after each
+    requested ring the running sum is saved as that half-width's output.
+    With ``renormalize`` the per-pixel coefficient sum is built up through
+    the same rings and each saved output is divided by it once.
+    """
+    if (field.height, field.width) != (feature.height, feature.width):
+        raise ValueError(
+            f"parameter field misaligned: field is {field.height}x{field.width}, "
+            f"feature is {feature.height}x{feature.width}")
+    c, h, w = feature.values.shape
+    top = max(halves)
+    dx, dy, sx2, sy2, norm = _coefficient_grids(field)
+    padded = np.pad(feature.values, ((0, 0), (top, top), (top, top)))
+    x_terms = {u: -((u - dx) ** 2) / sx2 for u in range(-top, top + 1)}
+    y_terms = {v: ((v - dy) ** 2) / sy2 for v in range(-top, top + 1)}
+
+    out = np.zeros((c, h, w))
+    tmp = np.empty((c, h, w))
+    denom = np.zeros((h, w)) if renormalize else None
+    saved = {}
+    for r in range(top + 1):
+        for u, v in _ring(r):
+            coeff = _offset_coefficient(norm, x_terms[u], y_terms[v])
+            if denom is not None:
+                denom += coeff
+            np.multiply(coeff, padded[:, v + top:v + top + h, u + top:u + top + w], out=tmp)
+            out += tmp
+        if r in halves:
+            saved[r] = out / denom if denom is not None else out.copy()
+    return saved
+
+
 def dynamic_gaussian_conv(feature: FeatureMap, field: ParamField, size: int,
                           renormalize: bool = False) -> FeatureMap:
     """Filter every pixel with its own Gaussian kernel.
 
     ``out[c, y, x] = sum_{u,v} feature[c, y+v, x+u] * K_{y,x}(u, v)`` with
     zero padding outside the image and K synthesized from the squashed
-    parameters at (y, x). With ``renormalize`` each per-pixel kernel is
-    divided by its discrete sum.
+    parameters at (y, x). The offsets are summed ring by ring from the
+    centre out (``max(|u|, |v|)`` = 0, 1, ..., size // 2, row-major within
+    a ring). With ``renormalize`` the sum is divided by each per-pixel
+    kernel's discrete sum.
     """
     if size < 3 or size % 2 == 0:
         raise ValueError(f"kernel size must be odd and >= 3, got {size}")
-    if (field.height, field.width) != (feature.height, feature.width):
-        raise ValueError(
-            f"parameter field misaligned: field is {field.height}x{field.width}, "
-            f"feature is {feature.height}x{feature.width}")
-
-    c, h, w = feature.values.shape
-    half = size // 2
-    dx, dy, sx2, sy2, norm = _coefficient_grids(field)
-    padded = np.pad(feature.values, ((0, 0), (half, half), (half, half)))
-
-    # One combined exponent per kernel offset, the exact expression the
-    # kernel module evaluates, so an impulse reproduces a synthesized
-    # kernel bit for bit.
-    def coeff_at(u: int, v: int) -> np.ndarray:
-        expo = -((u - dx) ** 2) / sx2 - ((v - dy) ** 2) / sy2
-        return norm * np.exp(expo)
-
-    denom = None
-    if renormalize:
-        denom = np.zeros((h, w))
-        for v in range(-half, half + 1):
-            for u in range(-half, half + 1):
-                denom += coeff_at(u, v)
-
-    out = np.zeros((c, h, w))
-    for v in range(-half, half + 1):
-        for u in range(-half, half + 1):
-            coeff = coeff_at(u, v)
-            if denom is not None:
-                coeff = coeff / denom
-            out += coeff[None, :, :] * padded[:, v + half:v + half + h, u + half:u + half + w]
-    return FeatureMap(out)
+    return FeatureMap(_gaussian_pass(feature, field, {size // 2}, renormalize)[size // 2])
 
 
 def multiscale_forward(feature: FeatureMap, field: ParamField,
@@ -183,9 +211,12 @@ def multiscale_forward(feature: FeatureMap, field: ParamField,
     For each kernel size in ``scales`` the standard path applies a fixed
     identity-center depthwise kernel (passing the input through unchanged,
     a deterministic reference in place of learned weights) and the
-    Gaussian path applies :func:`dynamic_gaussian_conv` at that size. All
-    blocks are concatenated along channels, standard path first, so the
-    output has 2 * len(scales) * C channels.
+    Gaussian path filters with the per-pixel Gaussian of that size. The
+    Gaussian blocks are the saved partial sums of one ring-ordered pass
+    out to the largest size, so each equals :func:`dynamic_gaussian_conv`
+    at its size bit for bit. All blocks are concatenated along channels,
+    standard path first, in the order of ``scales``, so the output has
+    2 * len(scales) * C channels.
     """
     scales = list(scales)
     if not scales:
@@ -193,9 +224,9 @@ def multiscale_forward(feature: FeatureMap, field: ParamField,
     for s in scales:
         if s < 3 or s % 2 == 0:
             raise ValueError(f"invalid scale: kernel sizes must be odd and >= 3, got {s}")
+    saved = _gaussian_pass(feature, field, {s // 2 for s in scales}, renormalize)
     standard = [feature.values for _ in scales]
-    gaussian = [dynamic_gaussian_conv(feature, field, s, renormalize=renormalize).values
-                for s in scales]
+    gaussian = [saved[s // 2] for s in scales]
     return FeatureMap(np.concatenate(standard + gaussian, axis=0))
 
 

@@ -170,11 +170,12 @@ class _UniformGrid:
         n = coords.shape[0]
         lo = coords.min(axis=0)
         hi = coords.max(axis=0)
-        extent = float(max(hi[0] - lo[0], hi[1] - lo[1]))
+        # Halved, so the extent of any finite cloud is finite.
+        half_extent = float(max(hi / 2 - lo / 2))
         ncells = max(1, int(math.sqrt(n)))
-        self.cell = extent / ncells if extent > 0 else 1.0
+        self.cell = half_extent / ncells * 2 if half_extent > 0 else 1.0
         self.origin, self.top = lo, hi
-        ij = np.floor((coords - lo) / self.cell).astype(np.int64)
+        ij = np.floor(self._cells(coords)).astype(np.int64)
         nx = int(ij[:, 0].max()) + 1
         ny = int(ij[:, 1].max()) + 1
         self.shape = (nx, ny)
@@ -184,6 +185,15 @@ class _UniformGrid:
         self.starts = np.concatenate(([0], np.cumsum(per_cell)))
         self.counts = np.zeros((nx + 1, ny + 1), dtype=np.int64)
         self.counts[1:, 1:] = per_cell.reshape(nx, ny).cumsum(axis=0).cumsum(axis=1)
+
+    def _cells(self, xy: np.ndarray) -> np.ndarray:
+        """Grid coordinates, in cells, of the points ``xy``.
+
+        Computed on halved coordinates, so the difference to the origin
+        stays finite for any finite ``xy``. The map is monotone, which is
+        all the disc queries need, and the constructor uses it too.
+        """
+        return (xy / 2 - self.origin / 2) / (self.cell / 2)
 
     def within(self, queries: np.ndarray,
                radii: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
@@ -200,10 +210,8 @@ class _UniformGrid:
         # clipped to the grid before the integer cast, so far queries
         # neither overflow it nor visit empty cells.
         reach = (radii + 1e-12 * (np.abs(queries).sum(axis=1) + radii))[:, None]
-        lo = np.clip(np.floor((queries - reach - self.origin) / self.cell),
-                     0, self.shape).astype(np.int64)
-        hi = np.clip(np.floor((queries + reach - self.origin) / self.cell) + 1,
-                     0, self.shape).astype(np.int64)
+        lo = np.clip(np.floor(self._cells(queries - reach)), 0, self.shape).astype(np.int64)
+        hi = np.clip(np.floor(self._cells(queries + reach)) + 1, 0, self.shape).astype(np.int64)
         ncols = np.where(hi[:, 1] > lo[:, 1], hi[:, 0] - lo[:, 0], 0)
         c = self.counts
         boxed = c[hi[:, 0], hi[:, 1]] - c[lo[:, 0], hi[:, 1]] - c[hi[:, 0], lo[:, 1]] \

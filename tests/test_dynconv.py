@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from countmatch import dynconv
 from countmatch.dynconv import (
     AttentionState,
     FeatureMap,
@@ -189,6 +192,52 @@ class TestMultiscaleForward:
             expected = dynamic_gaussian_conv(fm, field, s).values
             np.testing.assert_array_equal(
                 out.values[base + si * c: base + (si + 1) * c], expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_blocks_are_single_scale_convs(self, data):
+        c = data.draw(st.integers(1, 3))
+        h, w = data.draw(st.one_of(st.sampled_from([(1, 1), (2, 9), (9, 2)]),
+                                   st.tuples(st.integers(1, 8), st.integers(1, 8))))
+        scales = data.draw(st.lists(st.sampled_from([3, 5, 7, 9, 11]), min_size=1, max_size=4))
+        renormalize = data.draw(st.booleans())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        fm = FeatureMap(rng.normal(size=(c, h, w)))
+        field = ParamField(rng.normal(size=(3, h, w)), sx=rng.uniform(0.6, 1.6),
+                           sy=rng.uniform(0.6, 1.6))
+        out = multiscale_forward(fm, field, scales=scales, renormalize=renormalize).values
+        assert out.shape == (2 * len(scales) * c, h, w)
+        n = len(scales) * c
+        np.testing.assert_array_equal(out[:n], np.concatenate([fm.values] * len(scales)))
+        for si, s in enumerate(scales):
+            block = out[n + si * c:n + (si + 1) * c]
+            single = dynamic_gaussian_conv(fm, field, s, renormalize=renormalize).values
+            assert block.tobytes() == single.tobytes()
+            assert np.abs(block - naive_conv(fm, field, s, renormalize=renormalize)).max() <= 1e-10
+
+    def test_each_offset_coefficient_evaluated_once(self, monkeypatch):
+        calls = []
+        real = dynconv._offset_coefficient
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(dynconv, "_offset_coefficient", counted)
+        rng = np.random.default_rng(11)
+        fm = FeatureMap(rng.normal(size=(2, 6, 6)))
+        field = ParamField(rng.normal(size=(3, 6, 6)))
+        multiscale_forward(fm, field, scales=(3, 5, 7, 9))
+        assert len(calls) == 81
+        calls.clear()
+        dynamic_gaussian_conv(fm, field, 5)
+        assert len(calls) == 25
+
+    def test_misaligned_field_rejected(self):
+        fm = FeatureMap(np.ones((1, 4, 4)))
+        field = ParamField(np.zeros((3, 5, 5)))
+        with pytest.raises(ValueError, match="misaligned"):
+            multiscale_forward(fm, field)
 
     def test_invalid_scales(self):
         fm = FeatureMap(np.ones((1, 4, 4)))

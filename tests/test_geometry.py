@@ -170,7 +170,28 @@ class TestGridEqualsFullScan:
     @settings(max_examples=200, deadline=None)
     @given(neighbour_cases())
     def test_pairs_radii_and_knn_bit_equal(self, case):
-        queries, targets, radii, k = case
+        self.assert_grid_equals_full_scan(*case)
+
+    def test_cloud_wider_than_float_range(self):
+        # hi - lo overflows for targets at -1e308 and 1e308; the grid must
+        # still index them, and far queries must still see the whole cloud.
+        rng = np.random.default_rng(17)
+        targets = rng.uniform(0, 1000, (GRID_BACKEND_THRESHOLD + 44, 2))
+        targets[:2] = [(-1e308, 5.0), (1e308, -3.0)]
+        queries = np.vstack([rng.uniform(-50, 1050, (40, 2)), targets[:2],
+                             [(0.0, 1e308), (-1.7e308, 0.0)]])
+        radii = rng.choice([0.0, 3.0, 50.0, 1e308], len(queries))
+        radii[40:] = 1e308
+        queries, targets = PointSet.from_coords(queries), PointSet.from_coords(targets)
+        with np.errstate(over="ignore"):
+            # k = 1 keeps every adaptive radius finite.
+            self.assert_grid_equals_full_scan(queries, targets, radii, 1)
+            full = np.sort(pairwise_distances(queries, targets), axis=1)
+            for i, q in enumerate(queries.coords):
+                assert knn_distances(q, targets, 5).tobytes() == full[i, :5].tobytes()
+
+    @staticmethod
+    def assert_grid_equals_full_scan(queries, targets, radii, k):
         full = pairwise_distances(queries, targets)
         nearest = np.sort(full, axis=1)[:, :min(k, len(targets))]
 
