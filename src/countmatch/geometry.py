@@ -208,10 +208,14 @@ class _UniformGrid:
         # Widen each box by a few ulps so rounding in q -/+ r cannot drop
         # a point lying exactly on the disc's edge. Cell indices are
         # clipped to the grid before the integer cast, so far queries
-        # neither overflow it nor visit empty cells.
-        reach = (radii + 1e-12 * (np.abs(queries).sum(axis=1) + radii))[:, None]
-        lo = np.clip(np.floor(self._cells(queries - reach)), 0, self.shape).astype(np.int64)
-        hi = np.clip(np.floor(self._cells(queries + reach)) + 1, 0, self.shape).astype(np.int64)
+        # neither overflow it nor visit empty cells. A box edge beyond the
+        # float range is +-inf, which the clip maps to the grid's edge.
+        with np.errstate(over="ignore"):
+            reach = (radii + 1e-12 * (np.abs(queries).sum(axis=1) + radii))[:, None]
+            lo = np.floor(self._cells(queries - reach))
+            hi = np.floor(self._cells(queries + reach)) + 1
+        lo = np.clip(lo, 0, self.shape).astype(np.int64)
+        hi = np.clip(hi, 0, self.shape).astype(np.int64)
         ncols = np.where(hi[:, 1] > lo[:, 1], hi[:, 0] - lo[:, 0], 0)
         c = self.counts
         boxed = c[hi[:, 0], hi[:, 1]] - c[lo[:, 0], hi[:, 1]] - c[hi[:, 0], lo[:, 1]] \
@@ -229,7 +233,8 @@ class _UniformGrid:
             ti = self.order[_ranges(first, lens)]
             qi = np.repeat(cols, lens)
             pts, q = self.coords[ti], queries[qi]
-            d = np.hypot(pts[:, 0] - q[:, 0], pts[:, 1] - q[:, 1])
+            with np.errstate(over="ignore"):   # beyond the float range: inf, outside any disc
+                d = np.hypot(pts[:, 0] - q[:, 0], pts[:, 1] - q[:, 1])
             keep = d <= radii[qi]
             yield slice(s, e), qi[keep], ti[keep], d[keep]
             s = e
@@ -280,8 +285,7 @@ def adaptive_radius(p: PointLike, gt: PointSet, k: int = DEFAULT_K,
     """
     if not (floor > 0 and math.isfinite(floor)):
         raise ValueError("radius floor must be positive and finite")
-    d = knn_distances(p, gt, k)
-    return max(float(d.mean()), floor)
+    return max(float(_mean_distance(knn_distances(p, gt, k))), floor)
 
 
 #: Cell budget of one block of a full scan: query rows are scanned in
@@ -299,8 +303,10 @@ def _scan_blocks(queries: np.ndarray, targets: np.ndarray) -> Iterator[tuple[int
     """
     rows = max(1, _SCAN_BLOCK_CELLS // max(len(targets), 1))
     for s in range(0, len(queries), rows):
-        diff = queries[s:s + rows, None, :] - targets[None, :, :]
-        yield s, np.hypot(diff[..., 0], diff[..., 1])
+        with np.errstate(over="ignore"):   # beyond the float range: inf, the farthest
+            diff = queries[s:s + rows, None, :] - targets[None, :, :]
+            d = np.hypot(diff[..., 0], diff[..., 1])
+        yield s, d
 
 
 def _knn(queries: np.ndarray, targets: PointSet, k: int) -> np.ndarray:
@@ -326,8 +332,11 @@ def _knn(queries: np.ndarray, targets: PointSet, k: int) -> np.ndarray:
             out[s:s + len(d)] = np.sort(np.partition(d, kk - 1, axis=1)[:, :kk], axis=1)
         return out
     grid = targets._index()
-    gap = np.maximum(np.maximum(grid.origin - queries, queries - grid.top), 0)
-    radii = np.hypot(gap[:, 0], gap[:, 1]) + 2 * grid.cell
+    # A start or doubled radius beyond the float range is inf: that disc
+    # holds the whole cloud.
+    with np.errstate(over="ignore"):
+        gap = np.maximum(np.maximum(grid.origin - queries, queries - grid.top), 0)
+        radii = np.hypot(gap[:, 0], gap[:, 1]) + 2 * grid.cell
     todo = np.arange(len(queries))
     while todo.size:
         short = [todo[:0]]
@@ -340,7 +349,8 @@ def _knn(queries: np.ndarray, targets: PointSet, k: int) -> np.ndarray:
             out[rows[full]] = d[first[:, None] + np.arange(kk)]
             short.append(rows[~full])
         todo = np.concatenate(short)
-        radii[todo] *= 2
+        with np.errstate(over="ignore"):
+            radii[todo] *= 2
     return out
 
 
@@ -354,8 +364,25 @@ def all_radii(pred: PointSet, gt: PointSet, k: int = DEFAULT_K,
     """
     if not (floor > 0 and math.isfinite(floor)):
         raise ValueError("radius floor must be positive and finite")
-    nearest = _knn(pred.coords, gt, k)
-    return RadiusProfile(np.maximum(nearest.mean(axis=1), floor), k)
+    return RadiusProfile(np.maximum(_mean_distance(_knn(pred.coords, gt, k)), floor), k)
+
+
+def _mean_distance(nearest: np.ndarray) -> np.ndarray:
+    """Mean over the last axis of non-negative distances sorted along it.
+
+    The sum of finite distances can overflow where their mean cannot.
+    Such means are taken again on the distances scaled down by a power
+    of two above their count, so the sum stays finite, and scaled back
+    up; both scalings are exact. Every other mean is ``mean(axis=-1)``
+    bit for bit. A mean stays inf only where a distance is inf.
+    """
+    with np.errstate(over="ignore"):
+        mean = nearest.mean(axis=-1)
+    over = np.isinf(mean) & np.isfinite(nearest[..., -1])
+    if np.any(over):
+        scale = float(2 ** nearest.shape[-1].bit_length())
+        mean = np.where(over, (nearest / scale).mean(axis=-1) * scale, mean)
+    return mean
 
 
 def pairwise_distances(a: PointSet, b: PointSet) -> np.ndarray:

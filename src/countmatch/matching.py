@@ -13,17 +13,27 @@ underflows to 0.0 is not an edge). Only edges are ever returned, so
 every returned weight lies in (0, 1].
 
 Under ``OutOfRadiusMode.FORBID`` (the default) a non-edge weighs 0 in
-the solve and is stripped afterwards, so the optimum is the union of the
-optima of the connected components of the edge graph. The matcher
-therefore never builds the dense n x m problem: it finds the edges with
-range queries (:func:`geometry.pairs_within`), weights only those, splits
-the bipartite graph into components with a union-find, and solves each
-component's small dense sub-matrix exactly (0 where there is no edge).
-Memory and time follow the edge graph, not the n x m cross product.
+the solve and is stripped afterwards, so only the edges matter. The
+matcher therefore never builds the dense n x m problem: it finds the
+edges with range queries (:func:`geometry.pairs_within`), weights only
+those, and solves one assignment over the edge list by shortest
+augmenting paths (the sparse LAPJVsp of Jonker & Volgenant 1987). Rows
+are the predictions; columns are the gt points plus one private
+"unmatched" column per prediction, so a prediction may stay unmatched
+at cost 0 against -weight for an edge. Time and memory follow the edges
+the augmenting paths touch, not the n x m cross product, however large
+a connected part of the edge graph is.
+
+Tie rule of the sparse solve: predictions are augmented in index order,
+and each search takes the lowest column among equal path costs, so a
+gt point before leaving the prediction unmatched, and of two predictions
+tied for one gt point the earlier keeps it. The totals equal the dense
+solve's; on exact ties the pairs may differ.
+
 ``OutOfRadiusMode.LINEAR_PENALTY`` gives non-edges negative weights that
-couple every component, so it keeps the dense path:
-:func:`build_weight_matrix` plus one :func:`hungarian_solve`. That dense
-pair is also the reference the sparse path is tested against.
+couple every pair, so it keeps the dense path: :func:`build_weight_matrix`
+plus one :func:`hungarian_solve`. That dense pair is also the reference
+the sparse path is tested against.
 
 A factorial brute-force matcher with identical semantics serves as the
 correctness oracle for small instances.
@@ -31,6 +41,7 @@ correctness oracle for small instances.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -149,7 +160,7 @@ def gaussian_weight(d: float, sigma: float) -> float:
         raise ValueError("invalid sigma")
     if not math.isfinite(d):
         raise ValueError("distance must be finite")
-    return float(np.exp(-(d * d) / (2.0 * sigma * sigma)))
+    return float(_gaussian(np.float64(d), sigma))
 
 
 def build_weight_matrix(pred: PointSet, gt: PointSet, radii: RadiusProfile,
@@ -167,7 +178,7 @@ def build_weight_matrix(pred: PointSet, gt: PointSet, radii: RadiusProfile,
         empty = np.zeros((n, m))
         return WeightMatrix(values=empty, in_radius=empty.astype(bool), distances=d)
     rad = radii.radii[:, None]
-    values = _gaussian(d, rad, cfg)
+    values = _gaussian(d, _sigma(rad, cfg))
     in_radius = (d <= rad) & (values > 0.0)
     if cfg.out_of_radius is OutOfRadiusMode.FORBID:
         values = np.where(in_radius, values, 0.0)
@@ -213,8 +224,8 @@ def match_with_radii(pred: PointSet, gt: PointSet, radii: RadiusProfile,
                      cfg: MatchConfig = MatchConfig()) -> MatchResult:
     """Match with an explicit radius profile (one radius per prediction).
 
-    Under FORBID the edge graph is solved component by component; under
-    LINEAR_PENALTY the dense weight matrix is solved in one piece.
+    Under FORBID the edge list is solved by shortest augmenting paths;
+    under LINEAR_PENALTY the dense weight matrix is solved in one piece.
     """
     n, m = len(pred), len(gt)
     if n == 0 or m == 0:
@@ -225,10 +236,10 @@ def match_with_radii(pred: PointSet, gt: PointSet, radii: RadiusProfile,
         wm = build_weight_matrix(pred, gt, radii, cfg)
         return _assemble_solved(wm, hungarian_solve(-wm.values).pairs)
     pi, gj, d = pairs_within(pred, gt, radii.radii)
-    w = _gaussian(d, radii.radii[pi], cfg)
+    w = _gaussian(d, _sigma(radii.radii[pi], cfg))
     edge = w > 0.0
     pi, gj, d, w = pi[edge], gj[edge], d[edge], w[edge]
-    keep = _max_weight_matching(pi, gj, w, n)
+    keep = _max_weight_matching(pi, gj, w, n, m)
     return _assemble(pi[keep], gj[keep], d[keep], w[keep], n, m)
 
 
@@ -269,60 +280,96 @@ def _all_unmatched(n: int, m: int) -> MatchResult:
                        unmatched_gt=tuple(range(m)), total_weight=0.0)
 
 
-def _gaussian(d: np.ndarray, rad, cfg: MatchConfig) -> np.ndarray:
-    """Gaussian weights of distances ``d`` for radii ``rad`` (broadcast)."""
-    sigma = cfg.sigma_value if cfg.sigma_mode is SigmaMode.FIXED else cfg.sigma_value * rad
-    return np.exp(-(d * d) / (2.0 * sigma * sigma))
+def _sigma(rad, cfg: MatchConfig):
+    """Gaussian width for radii ``rad`` under ``cfg``."""
+    return cfg.sigma_value if cfg.sigma_mode is SigmaMode.FIXED else cfg.sigma_value * rad
 
 
-def _max_weight_matching(pi: np.ndarray, gj: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+def _gaussian(d: np.ndarray, sigma) -> np.ndarray:
+    """Gaussian weights of distances ``d`` for widths ``sigma`` (broadcast).
+
+    Computed as exp(-d^2 / (2 sigma^2)). Where d^2 overflows, or 2 sigma^2
+    overflows or falls below the smallest normal float, that quotient
+    would read inf/inf, 0/0 or a wrong 0 or 1, so those entries are
+    computed as exp(-(d / sigma)^2 / 2) instead.
+    """
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        num, den = d * d, 2.0 * sigma * sigma
+        w = np.exp(-num / den)
+        off = np.isinf(num) | ~(np.isfinite(den) & (den >= np.finfo(np.float64).tiny))
+        if np.any(off):
+            ratio = d / sigma
+            w = np.where(off, np.exp(-0.5 * ratio * ratio), w)
+    return w
+
+
+def _max_weight_matching(pi: np.ndarray, gj: np.ndarray, w: np.ndarray,
+                         n: int, m: int) -> np.ndarray:
     """Edge indices of a maximum-weight matching of the bipartite edge
     graph (edge e joins prediction pi[e] and gt gj[e], weight w[e] > 0).
 
-    Edges must be ordered by prediction, then gt. Each connected component
-    is solved on its own; ties resolve as :func:`hungarian_solve` resolves
-    them on the component's sub-matrix.
+    Edges must be ordered by prediction, then gt, and each (pi, gj) pair
+    must occur once. The graph is solved as one rectangular assignment
+    by shortest augmenting paths over its edge list (the sparse LAPJVsp
+    of Jonker & Volgenant 1987, with the dual updates of Crouse 2016).
+    Rows are the predictions. Columns are the gt points 0..m-1, then one
+    private "unmatched" column per row: m + n - 1 - i for row i. An edge
+    costs -w[e] and a private column 0, so the least cost is the largest
+    weight. Each row potential starts at its row minimum (its least -w[e],
+    below the private column's 0), so every reduced cost starts
+    non-negative.
+
+    Tie rule: rows are augmented in index order, and each row's Dijkstra
+    search settles columns by (distance, column), so the lowest column
+    wins a tie. A gt column thus comes before any private column, and a
+    later row's private column before an earlier row's: when two rows tie
+    for one gt, the earlier row keeps it. Time and memory follow the
+    edges that the augmenting paths touch, never the n x m product.
     """
-    chosen: list[int] = []
-    pl, gl, wl = pi.tolist(), gj.tolist(), w.tolist()
-    for e in _components(pl, gl, n):
-        ps, gs = [pl[k] for k in e], [gl[k] for k in e]
-        rows, cols = sorted(set(ps)), sorted(set(gs))
-        row_of = {v: a for a, v in enumerate(rows)}
-        col_of = {v: a for a, v in enumerate(cols)}
-        r, c = [row_of[v] for v in ps], [col_of[v] for v in gs]
-        sub = np.zeros((len(rows), len(cols)))
-        sub[r, c] = [wl[k] for k in e]
-        edge_id = np.full(sub.shape, -1, dtype=np.int64)
-        edge_id[r, c] = e
-        ids = [int(edge_id[a, b]) for a, b in hungarian_solve(-sub).pairs]
-        chosen.extend(k for k in ids if k >= 0)
-    return np.array(chosen, dtype=np.int64)
-
-
-def _components(pl: list[int], gl: list[int], n: int) -> list[list[int]]:
-    """Edge indices grouped by connected component, each group in
-    increasing order; edge k joins prediction pl[k] and gt gl[k].
-
-    Union-find over prediction nodes 0..n-1 and gt nodes n..n+m-1.
-    """
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = parent.setdefault(x, x)
-        while root != parent[root]:
-            parent[root] = parent[parent[root]]
-            root = parent[root]
-        return root
-
-    for a, b in zip(pl, gl):
-        ra, rb = find(a), find(b + n)
-        if ra != rb:
-            parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for k, a in enumerate(pl):
-        groups.setdefault(find(a), []).append(k)
-    return list(groups.values())
+    start = np.searchsorted(pi, np.arange(n + 1)).tolist()
+    cols, cost = gj.tolist(), (-w).tolist()
+    u = [0.0] * n                 # row potentials
+    v = [0.0] * (m + n)           # column potentials
+    row_of = [-1] * (m + n)       # row holding each column, -1 if free
+    col_of = [-1] * n             # column held by each row
+    for cur in range(n):
+        if start[cur] == start[cur + 1]:
+            continue              # no edge: the row keeps its private column
+        u[cur] = min(cost[start[cur]:start[cur + 1]])
+        dist: dict[int, float] = {}
+        via: dict[int, int] = {}  # row whose edge last lowered dist[j]
+        done: dict[int, float] = {}   # settled columns, in settling order
+        heap: list[tuple[float, int]] = []
+        i, reach = cur, 0.0
+        while True:
+            base = reach - u[i]
+            s, e = start[i], start[i + 1]
+            for j, c in zip(cols[s:e] + [m + n - 1 - i], cost[s:e] + [0.0]):
+                if j not in done:
+                    r = base + c - v[j]
+                    if r < dist.get(j, math.inf):
+                        dist[j], via[j] = r, i
+                        heapq.heappush(heap, (r, j))
+            reach, j = heapq.heappop(heap)
+            while j in done:      # stale entry of a settled column
+                reach, j = heapq.heappop(heap)
+            done[j] = reach
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+        u[cur] += reach
+        for k, d in done.items():
+            v[k] -= reach - d
+            if k != j:
+                u[row_of[k]] += reach - d
+        while True:               # flip the path from the free column j back to cur
+            i = via[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == cur:
+                break
+    gt_of = np.array(col_of, dtype=np.int64)
+    return np.flatnonzero(gj == gt_of[pi])
 
 
 def _assemble_solved(wm: WeightMatrix, solver_pairs) -> MatchResult:

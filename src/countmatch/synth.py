@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-import numpy as np
-
 from .geometry import PointLabel, PointSet
 
 #: Gap between the dense and sparse blocks of a two-cluster scene, as a
@@ -202,14 +200,17 @@ def sample_points(cfg: SceneConfig) -> PointSet:
                     x += rng.uniform_in(-cfg.jitter, cfg.jitter)
                     y += rng.uniform_in(-cfg.jitter, cfg.jitter)
                 pts.append((x, y))
-    clamped = [_clamp(x, y, cfg.width, cfg.height) for x, y in pts]
-    return PointSet(clamped, label=PointLabel.GROUND_TRUTH)
+    top = _upper_bounds(cfg.width, cfg.height)
+    return PointSet([_clamp(x, y, top) for x, y in pts], label=PointLabel.GROUND_TRUTH)
 
 
-def _clamp(x: float, y: float, width: float, height: float) -> tuple[float, float]:
-    hi_x = np.nextafter(float(width), 0.0)
-    hi_y = np.nextafter(float(height), 0.0)
-    return (min(max(x, 0.0), hi_x), min(max(y, 0.0), hi_y))
+def _upper_bounds(width: float, height: float) -> tuple[float, float]:
+    """Largest coordinates strictly inside a width x height scene."""
+    return math.nextafter(float(width), 0.0), math.nextafter(float(height), 0.0)
+
+
+def _clamp(x: float, y: float, top: tuple[float, float]) -> tuple[float, float]:
+    return (min(max(x, 0.0), top[0]), min(max(y, 0.0), top[1]))
 
 
 def perturb_points(points: PointSet, drop_rate: float, spurious_rate: float = 0.0,
@@ -232,16 +233,18 @@ def perturb_points(points: PointSet, drop_rate: float, spurious_rate: float = 0.
     if spurious_rate < 0 or noise_sigma < 0:
         raise ValueError("rates must be non-negative")
     rng = Prng(seed)
+    if bounds is not None:
+        top = _upper_bounds(bounds[0], bounds[1])
     out: list[tuple[float, float]] = []
-    for x, y in points.coords:
+    for x, y in points.coords.tolist():
         if rng.uniform() < drop_rate:
             continue
         if noise_sigma > 0:
             x = x + noise_sigma * rng.normal()
             y = y + noise_sigma * rng.normal()
         if bounds is not None:
-            x, y = _clamp(x, y, bounds[0], bounds[1])
-        out.append((float(x), float(y)))
+            x, y = _clamp(x, y, top)
+        out.append((x, y))
     n_spurious = rng.poisson(spurious_rate * len(points))
     if n_spurious:
         # A positive count implies a non-empty input, so the bounding-box

@@ -172,9 +172,12 @@ class TestGridEqualsFullScan:
     def test_pairs_radii_and_knn_bit_equal(self, case):
         self.assert_grid_equals_full_scan(*case)
 
+    @pytest.mark.filterwarnings("error")
     def test_cloud_wider_than_float_range(self):
         # hi - lo overflows for targets at -1e308 and 1e308; the grid must
         # still index them, and far queries must still see the whole cloud.
+        # The library scopes the overflows it expects, so any warning is an
+        # error; only the dense reference runs under np.errstate.
         rng = np.random.default_rng(17)
         targets = rng.uniform(0, 1000, (GRID_BACKEND_THRESHOLD + 44, 2))
         targets[:2] = [(-1e308, 5.0), (1e308, -3.0)]
@@ -183,16 +186,17 @@ class TestGridEqualsFullScan:
         radii = rng.choice([0.0, 3.0, 50.0, 1e308], len(queries))
         radii[40:] = 1e308
         queries, targets = PointSet.from_coords(queries), PointSet.from_coords(targets)
+        # k = 1 keeps every adaptive radius finite.
+        self.assert_grid_equals_full_scan(queries, targets, radii, 1)
         with np.errstate(over="ignore"):
-            # k = 1 keeps every adaptive radius finite.
-            self.assert_grid_equals_full_scan(queries, targets, radii, 1)
             full = np.sort(pairwise_distances(queries, targets), axis=1)
-            for i, q in enumerate(queries.coords):
-                assert knn_distances(q, targets, 5).tobytes() == full[i, :5].tobytes()
+        for i, q in enumerate(queries.coords):
+            assert knn_distances(q, targets, 5).tobytes() == full[i, :5].tobytes()
 
     @staticmethod
     def assert_grid_equals_full_scan(queries, targets, radii, k):
-        full = pairwise_distances(queries, targets)
+        with np.errstate(over="ignore"):
+            full = pairwise_distances(queries, targets)
         nearest = np.sort(full, axis=1)[:, :min(k, len(targets))]
 
         qi, ti, d = pairs_within(queries, targets, radii)
@@ -317,6 +321,21 @@ class TestAllRadii:
         prof = all_radii(pred, gt_big, k=5, floor=1e-9)
         expected = [brute_knn(p, gt_big, 5).mean() for p in pred.coords]
         np.testing.assert_allclose(prof.radii, expected, atol=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [20, GRID_BACKEND_THRESHOLD + 20])
+    def test_mean_of_distances_near_float_max(self, m):
+        # Five finite distances of 1e308 sum past the float range; their
+        # mean does not. Rows whose sum is finite keep their radius bit
+        # for bit.
+        rng = np.random.default_rng(20)
+        gt = PointSet(rng.uniform(-5, 5, (m, 2)))
+        near = [(1.0, 2.0), (-3.0, 0.5)]
+        prof = all_radii(PointSet([(0.0, 1e308)] + near), gt, k=5)
+        assert prof.radii[0] == pytest.approx(1e308, rel=1e-15)
+        assert adaptive_radius((0.0, 1e308), gt, k=5) == prof.radii[0]
+        assert prof.radii[1:].tobytes() == all_radii(PointSet(near), gt, k=5).radii.tobytes()
+        assert adaptive_radius(near[0], gt, k=5) == prof.radii[1]
 
 
 class TestGeometryProperties:

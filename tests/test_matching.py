@@ -1,15 +1,24 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, min_weight_full_bipartite_matching
 
 from countmatch import matching
 from countmatch.assignment import hungarian_solve
-from countmatch.geometry import GRID_BACKEND_THRESHOLD, PointSet, RadiusProfile, all_radii
+from countmatch.geometry import (
+    GRID_BACKEND_THRESHOLD,
+    PointSet,
+    RadiusProfile,
+    all_radii,
+    pairs_within,
+)
 from countmatch.matching import (
     MatchConfig,
     OutOfRadiusMode,
@@ -29,6 +38,22 @@ def random_instance(rng, max_side=8, extent=20.0):
     pred = PointSet(rng.uniform(0, extent, (n, 2)))
     gt = PointSet(rng.uniform(0, extent, (m, 2)))
     return pred, gt
+
+
+def scipy_sparse_optimum(pi, gj, w, n, m):
+    """Largest total weight of a matching of the edge graph (edge e joins
+    prediction pi[e] and gt gj[e]), by scipy's LAPJVsp.
+
+    Each prediction also gets a private column, so it may stay unmatched.
+    scipy needs non-zero costs: an edge costs -1 - w[e] and a private
+    column -1, the same differences as -w[e] against 0.
+    """
+    rows = np.concatenate([pi, np.arange(n)])
+    cols = np.concatenate([gj, m + np.arange(n)])
+    cost = np.concatenate([-1.0 - w, np.full(n, -1.0)])
+    r, c = min_weight_full_bipartite_matching(csr_matrix((cost, (rows, cols)), shape=(n, m + n)))
+    weight = dict(zip(zip(pi.tolist(), gj.tolist()), w.tolist()))
+    return math.fsum(weight[a, b] for a, b in zip(r.tolist(), c.tolist()) if b < m)
 
 
 def check_result_invariants(result, n_pred, n_gt):
@@ -65,6 +90,15 @@ class TestGaussianWeight:
             gaussian_weight(1.0, 0.0)
         with pytest.raises(ValueError, match="invalid sigma"):
             gaussian_weight(1.0, -2.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d, sigma", [(1e308, 5e307), (1.3e154, 1e154), (0.0, 1e200),
+                                          (1e-200, 1e-200), (3e-170, 2e-170)])
+    def test_squares_beyond_float_range(self, d, sigma):
+        # d^2 or 2 sigma^2 overflows or underflows; the weight is still
+        # exp(-(d / sigma)^2 / 2).
+        assert gaussian_weight(d, sigma) == pytest.approx(
+            math.exp(-0.5 * (d / sigma) ** 2), rel=1e-12)
 
 
 class TestWeightMatrix:
@@ -379,7 +413,8 @@ class TestSparsePath:
         assert peak < n * m * 8 / 4   # a quarter of one dense float64 matrix
 
     def test_giant_component(self):
-        # Every radius covers every point: one component, solved densely.
+        # Every radius covers every point: the edge graph is complete, one
+        # component.
         rng = np.random.default_rng(17)
         pred = PointSet(rng.uniform(0, 10, (30, 2)))
         gt = PointSet(rng.uniform(0, 10, (25, 2)))
@@ -388,6 +423,76 @@ class TestSparsePath:
         ref = hungarian_solve(-build_weight_matrix(pred, gt, radii, MatchConfig()).values)
         assert result.total_weight == pytest.approx(-ref.total_cost, abs=1e-9)
         assert len(result.pairs) == 25
+
+    def test_lattice_giant_component(self):
+        # A jittered 64 x 64 unit lattice, predictions jittered from it plus
+        # 2 % spurious ones, radius 1.5: the edge graph is one connected
+        # component over all 4 096 gt points.
+        rng = np.random.default_rng(22)
+        xs, ys = np.meshgrid(np.arange(64.0), np.arange(64.0))
+        gt = np.column_stack([xs.ravel(), ys.ravel()]) + rng.uniform(-0.2, 0.2, (4096, 2))
+        pred = np.vstack([gt + rng.normal(0, 0.1, gt.shape), rng.uniform(0, 64, (82, 2))])
+        pred, gt = PointSet(pred), PointSet(gt)
+        n, m = len(pred), len(gt)
+        pi, gj, d = pairs_within(pred, gt, np.full(n, 1.5))
+        graph = csr_matrix((np.ones(len(pi)), (pi, n + gj)), shape=(n + m, n + m))
+        labels = connected_components(graph, directed=False)[1]
+        assert len(set(labels[n:].tolist())) == 1
+
+        started = time.perf_counter()
+        result = fixed_radius_match(pred, gt, radius=1.5)
+        assert time.perf_counter() - started < 1.0
+        tracemalloc.start()
+        try:
+            fixed_radius_match(pred, gt, radius=1.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * m * 8 / 8   # an eighth of one dense float64 matrix
+        check_result_invariants(result, n, m)
+        w = np.exp(-(d * d) / (2.0 * 0.75 * 0.75))
+        assert result.total_weight == pytest.approx(
+            scipy_sparse_optimum(pi, gj, w, n, m), abs=1e-9)
+
+
+class TestTieRule:
+    # Every edge below is 1 px long, so all weights are equal.
+    def test_lowest_gt_first(self):
+        result = fixed_radius_match(PointSet([(0, 0)]),
+                                    PointSet([(1, 0), (-1, 0), (0, 1)]), radius=1.5)
+        assert [(p.pred_index, p.gt_index) for p in result.pairs] == [(0, 0)]
+
+    def test_earlier_prediction_keeps_a_contested_gt(self):
+        result = fixed_radius_match(PointSet([(-1, 0), (1, 0)]), PointSet([(0, 0)]),
+                                    radius=1.5)
+        assert [(p.pred_index, p.gt_index) for p in result.pairs] == [(0, 0)]
+        assert result.unmatched_pred == (1,)
+
+    def test_later_prediction_moves_to_a_free_gt(self):
+        # Prediction 1 reaches only gt 0, which prediction 0 took first at
+        # an equal weight; prediction 0 moves on to gt 1, so both match.
+        result = fixed_radius_match(PointSet([(0, 0), (-2, 0)]),
+                                    PointSet([(-1, 0), (1, 0)]), radius=1.5)
+        assert [(p.pred_index, p.gt_index) for p in result.pairs] == [(0, 1), (1, 0)]
+
+
+class TestFarPrediction:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [20, GRID_BACKEND_THRESHOLD + 20])
+    def test_radius_and_weight_near_float_max(self, m):
+        # Five distances of 1e308 sum past the float range, and so do
+        # d^2 and sigma^2: the radius is 1e308 and every gt point is an
+        # edge of weight exp(-(1e308 / 5e307)^2 / 2) = exp(-2).
+        rng = np.random.default_rng(23)
+        gt = PointSet(rng.uniform(-5, 5, (m, 2)))
+        pred = PointSet([(0.0, 1e308)])
+        result = match_points(pred, gt)
+        check_result_invariants(result, 1, m)
+        assert [(p.pred_index, p.gt_index) for p in result.pairs] == [(0, 0)]
+        assert result.pairs[0].weight == pytest.approx(math.exp(-2.0), rel=1e-12)
+        radii = all_radii(pred, gt)
+        ref = hungarian_solve(-build_weight_matrix(pred, gt, radii, MatchConfig()).values)
+        assert result.total_weight == pytest.approx(-ref.total_cost, abs=1e-9)
 
 
 def _cloud(rng, count, extent, step, outliers):
@@ -436,6 +541,9 @@ class TestSparseMatchesDenseReference:
         wm = build_weight_matrix(pred, gt, radii, cfg)
         ref = hungarian_solve(-wm.values)
         assert result.total_weight == pytest.approx(-ref.total_cost, abs=1e-9)
+        pi, gj = np.nonzero(wm.in_radius)
+        lapjvsp = scipy_sparse_optimum(pi, gj, wm.values[pi, gj], len(pred), len(gt))
+        assert result.total_weight == pytest.approx(lapjvsp, abs=1e-9)
         for p in result.pairs:
             assert wm.in_radius[p.pred_index, p.gt_index]
             assert p.distance == wm.distances[p.pred_index, p.gt_index]

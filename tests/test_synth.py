@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -216,6 +217,23 @@ class TestPerturbPoints:
             perturb_points(pts, drop_rate=1.5)
         with pytest.raises(ValueError):
             perturb_points(pts, drop_rate=0.0, noise_sigma=-1.0)
+
+
+def test_scene_coordinates_frozen():
+    # A digest of generated coordinates, bit for bit, over every profile,
+    # jittered and clamped scenes, and perturbations with and without
+    # bounds (noise 2 px pushes some survivors onto the clamp).
+    h = hashlib.sha256()
+    for seed in range(6):
+        for profile in DensityProfile:
+            gt = sample_points(SceneConfig(72, 52, 150, profile, spacing_dense=2.0,
+                                           spacing_sparse=6.0, jitter=1.5, seed=seed))
+            h.update(gt.coords.tobytes())
+            for bounds in (None, (72, 52)):
+                pred = perturb_points(gt, 0.1, 0.05, noise_sigma=2.0, seed=seed + 100,
+                                      bounds=bounds)
+                h.update(pred.coords.tobytes())
+    assert h.hexdigest() == "a362805c3fe291dd5231bb2437061a3bd7d5b00ef4f3f8c29866ddc960a55303"
 
 
 class TestSampleSeparated:
