@@ -4,12 +4,20 @@ A density map is a single-channel grid of non-negative intensities whose
 local maxima encode point detections. Rendering places a unit-integral
 isotropic Gaussian at each source point (sampled at pixel centers, so
 the discrete mass of a well-separated interior point is 1 to within
-quantization); decoding finds strict 8-neighborhood local maxima, with
-equal-valued plateaus collapsed to their centroid, and greedily
-suppresses peaks closer than a minimum distance (higher value wins, scan
-order breaks ties). Suppression walks conflict lists from
-:func:`countmatch.geometry.pairs_within` (full scan or grid index), so it
-costs O(peaks + close pairs) rather than O(peaks^2).
+quantization). The Gaussian tiles are computed for a block of points at
+a time and added into the map in point order, so every pixel sums its
+contributions in the same order whatever the block size.
+
+Decoding finds strict 8-neighborhood local maxima, with equal-valued
+plateaus collapsed to their centroid, and greedily suppresses peaks
+closer than a minimum distance (higher value wins, scan order breaks
+ties). Only pixels at or above the threshold are examined: their
+neighbor maxima are gathered, their equal-valued plateaus are labelled
+by an array-level union-find, and suppression walks conflict lists from
+:func:`countmatch.geometry.pairs_within` (full scan or grid index). So
+decoding costs a few array passes over the map plus work proportional
+to the pixels at or above the threshold and to the close pairs, with no
+Python loop over pixels.
 
 Maps serialize either as row-major CSV or as a compact binary grid:
 
@@ -69,6 +77,13 @@ def render_density(points: PointSet, sigma: float, height: int, width: int) -> D
     is within 2% of ``len(points)`` when all points are at least 3 sigma
     from the borders and sigma is at least ~0.6 px (below that, pixel
     quantization starts to bite).
+
+    Each point's Gaussian tile (its window clipped to the map) is computed
+    for a block of points at a time, with a few ``exp``/multiply calls per
+    block, and the tiles are added into the map in point order. Each pixel
+    therefore sums its terms in point order, so the output is the same bit
+    for bit as adding one point's tile at a time. A block holds about
+    2**16 tile cells, so memory stays O(map + block).
     """
     if not (sigma > 0 and math.isfinite(sigma)):
         raise ValueError("invalid sigma")
@@ -85,16 +100,27 @@ def render_density(points: PointSet, sigma: float, height: int, width: int) -> D
     window = int(math.ceil(RENDER_WINDOW_SIGMAS * sigma))
     norm = 1.0 / (2.0 * math.pi * sigma * sigma)
     inv = 1.0 / (2.0 * sigma * sigma)
-    for px, py in coords:
-        x0 = max(0, int(math.ceil(px - window)))
-        x1 = min(width - 1, int(math.floor(px + window)))
-        y0 = max(0, int(math.ceil(py - window)))
-        y1 = min(height - 1, int(math.floor(py + window)))
-        xs = np.arange(x0, x1 + 1, dtype=np.float64)
-        ys = np.arange(y0, y1 + 1, dtype=np.float64)
-        gx = np.exp(-((xs - px) ** 2) * inv)
-        gy = np.exp(-((ys - py) ** 2) * inv)
-        values[y0:y1 + 1, x0:x1 + 1] += norm * np.outer(gy, gx)
+    # Point i covers rows y0[i]:y1[i] and columns x0[i]:x1[i], its window
+    # clipped to the map; no tile is wider than 2 * window + 1 or the map.
+    x0 = np.maximum(0, np.ceil(coords[:, 0] - window)).astype(np.intp)
+    x1 = np.minimum(width - 1, np.floor(coords[:, 0] + window)).astype(np.intp) + 1
+    y0 = np.maximum(0, np.ceil(coords[:, 1] - window)).astype(np.intp)
+    y1 = np.minimum(height - 1, np.floor(coords[:, 1] + window)).astype(np.intp) + 1
+    span_x = np.arange(min(2 * window + 1, width))
+    span_y = np.arange(min(2 * window + 1, height))
+    # About 2**16 tile cells (512 KiB) per block; one point when a tile is larger.
+    block = max(1, (1 << 16) // (len(span_x) * len(span_y)))
+    for start in range(0, len(coords), block):
+        stop = start + block
+        # The same exp/outer/multiply per element as one point at a time;
+        # cells past a clipped edge are computed and never added.
+        gx = np.exp(-((x0[start:stop, None] + span_x - coords[start:stop, :1]) ** 2) * inv)
+        gy = np.exp(-((y0[start:stop, None] + span_y - coords[start:stop, 1:]) ** 2) * inv)
+        tiles = gy[:, :, None] * gx[:, None, :]
+        tiles *= norm
+        for tile, r0, r1, c0, c1 in zip(tiles, y0[start:stop].tolist(), y1[start:stop].tolist(),
+                                        x0[start:stop].tolist(), x1[start:stop].tolist()):
+            values[r0:r1, c0:c1] += tile[:r1 - r0, :c1 - c0]
     return DensityMap(values)
 
 
@@ -104,6 +130,29 @@ def default_threshold(dmap: DensityMap) -> float:
 
 
 _NEIGHBOR_OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+
+
+def _min_label_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Label each of ``n`` nodes with the smallest node of its component.
+
+    Edges are the pairs ``(src[i], dst[i])``. Each round hooks every
+    root onto the smallest root it shares an edge with, then jumps
+    pointers until every node points at its root; edges inside one
+    component are dropped. Labels never increase, so there are no cycles.
+    """
+    labels = np.arange(n)
+    while True:
+        ls, ld = labels[src], labels[dst]
+        split = ls != ld
+        if not split.any():
+            return labels
+        src, dst, ls, ld = src[split], dst[split], ls[split], ld[split]
+        np.minimum.at(labels, np.maximum(ls, ld), np.minimum(ls, ld))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
 
 
 def extract_peaks(dmap: DensityMap, threshold: float, min_distance: float = 1.0) -> PointSet:
@@ -117,6 +166,16 @@ def extract_peaks(dmap: DensityMap, threshold: float, min_distance: float = 1.0)
     order follows the greedy acceptance order, making repeated calls
     identical. ``threshold`` must be finite and ``min_distance`` finite
     and >= 1.
+
+    Candidates come only from pixels at or above the threshold (and
+    above the map minimum, unless the map is constant): each gathers its
+    eight neighbors and survives if none is larger. Equal-valued
+    neighbors are linked and labelled by a min-label union-find with
+    pointer jumping, and a plateau that has a member with a larger
+    neighbor is dropped. Centroids come from integer coordinate sums, so
+    they equal the exact mean of the member coordinates. Apart from a
+    few array passes over the map, the cost is proportional to the
+    pixels at or above the threshold, with no Python loop over pixels.
 
     The greedy pass visits the peaks in that order once: a peak is kept
     unless a kept earlier peak lies closer than ``min_distance``. The
@@ -133,53 +192,59 @@ def extract_peaks(dmap: DensityMap, threshold: float, min_distance: float = 1.0)
     if h == 0 or w == 0:
         return PointSet([], label=PointLabel.PREDICTED)
 
-    # A pixel survives this mask iff no existing neighbor exceeds it;
-    # plateau membership is resolved afterwards.
-    padded = np.full((h + 2, w + 2), -np.inf)
-    padded[1:-1, 1:-1] = vals
-    nbr_max = np.full((h, w), -np.inf)
-    for oy, ox in _NEIGHBOR_OFFSETS:
-        np.maximum(nbr_max, padded[1 + oy:1 + oy + h, 1 + ox:1 + ox + w], out=nbr_max)
-    candidate = (vals >= nbr_max) & (vals >= threshold)
+    flat = vals.ravel()
+    above = vals >= threshold
     lowest = vals.min()
     if lowest < vals.max():
         # A plateau at the map minimum has only larger outside neighbors,
-        # so it is never a maximum; skip flood-filling the background.
-        candidate &= vals > lowest
+        # so it is never a maximum; leave the background out.
+        above &= vals > lowest
+    pixels = np.flatnonzero(above)
+    count = len(pixels)
+    ys, xs = np.divmod(pixels, w)
+    v = flat[pixels]
+    # Neighbor indices clamped to the map: a clamped offset lands on the
+    # pixel itself or on another of its neighbors, so maxima are unchanged.
+    rows = (np.maximum(ys - 1, 0) * w, ys * w, np.minimum(ys + 1, h - 1) * w)
+    cols = (np.maximum(xs - 1, 0), xs, np.minimum(xs + 1, w - 1))
+    nbr_max = np.full(count, -np.inf)
+    equal = {}
+    for oy, ox in _NEIGHBOR_OFFSETS:
+        nv = flat[rows[oy + 1] + cols[ox + 1]]
+        np.maximum(nbr_max, nv, out=nbr_max)
+        if oy < 0 or ox < 0:
+            equal[oy, ox] = nv == v
+    candidate = v >= nbr_max
 
-    visited = np.zeros((h, w), dtype=bool)
-    raw_peaks: list[tuple[float, float, float]] = []  # (value, cy, cx)
-    for y, x in np.argwhere(candidate):
-        if visited[y, x]:
-            continue
-        value = vals[y, x]
-        # Flood-fill the equal-valued component; it is a maximum only if
-        # every outside neighbor is strictly smaller.
-        stack = [(int(y), int(x))]
-        visited[y, x] = True
-        members = []
-        is_peak = True
-        while stack:
-            cy, cx = stack.pop()
-            members.append((cy, cx))
-            for oy, ox in _NEIGHBOR_OFFSETS:
-                ny, nx = cy + oy, cx + ox
-                if not (0 <= ny < h and 0 <= nx < w):
-                    continue
-                nv = vals[ny, nx]
-                if nv == value:
-                    if not visited[ny, nx]:
-                        visited[ny, nx] = True
-                        stack.append((ny, nx))
-                elif nv > value:
-                    is_peak = False
-        if is_peak:
-            ys = [m[0] for m in members]
-            xs = [m[1] for m in members]
-            raw_peaks.append((float(value), math.fsum(ys) / len(ys), math.fsum(xs) / len(xs)))
+    # Equal-valued links to the four earlier neighbors, thinned as in Wu,
+    # Otoo & Suzuki's decision tree: a link to the pixel above implies the
+    # others, and one up-left implies the one to the left. An equal
+    # neighbor has the same value, so it is among ``pixels`` too.
+    up = equal[-1, 0] & (ys > 0)   # on the top row, "above" is clamped to the pixel itself
+    left = equal[0, -1] & ~up & ~equal[-1, -1]
+    links = (((-1, 0), up), ((-1, 1), equal[-1, 1] & ~up),
+             ((-1, -1), equal[-1, -1] & ~up), ((0, -1), left))
+    src, dst = [], []
+    for (oy, ox), mask in links:
+        i = np.flatnonzero(mask)
+        src.append(i)
+        dst.append(np.searchsorted(pixels, rows[oy + 1][i] + cols[ox + 1][i]))
+    labels = _min_label_components(count, np.concatenate(src), np.concatenate(dst))
 
-    raw_peaks.sort(key=lambda p: (-p[0], p[1], p[2]))
-    coords = np.array([(cx, cy) for _, cy, cx in raw_peaks]).reshape(-1, 2)
+    # The full equal-valued component of each pixel is a maximum only if
+    # none of its members has a larger neighbor, i.e. all are candidates.
+    poisoned = np.zeros(count, dtype=bool)
+    poisoned[labels[~candidate]] = True
+    member = ~poisoned[labels]
+    roots = labels[member]
+    sizes = np.bincount(roots, minlength=count)
+    heads = np.flatnonzero(sizes)   # each peak's first pixel in raster order
+    # Integer coordinate sums are exact below 2**53, so each centroid
+    # equals math.fsum(member coordinates) / size bit for bit.
+    cy = np.bincount(roots, ys[member], count)[heads] / sizes[heads]
+    cx = np.bincount(roots, xs[member], count)[heads] / sizes[heads]
+    order = np.lexsort((cx, cy, -v[heads]))
+    coords = np.column_stack((cx[order], cy[order]))
     # pairs_within keeps d <= r; a conflict is a later peak strictly closer.
     n = len(coords)
     raw = PointSet.from_coords(coords)

@@ -374,8 +374,12 @@ def _mean_distance(nearest: np.ndarray) -> np.ndarray:
     Such means are taken again on the distances scaled down by a power
     of two above their count, so the sum stays finite, and scaled back
     up; both scalings are exact. Every other mean is ``mean(axis=-1)``
-    bit for bit. A mean stays inf only where a distance is inf.
+    bit for bit. An inf distance raises ValueError: between finite
+    points it means the coordinates span more than the float range.
     """
+    if np.any(np.isinf(nearest[..., -1])):
+        raise ValueError("a distance overflowed: the coordinates span more than "
+                         "the float range (about 1.8e308)")
     with np.errstate(over="ignore"):
         mean = nearest.mean(axis=-1)
     over = np.isinf(mean) & np.isfinite(nearest[..., -1])
@@ -389,8 +393,9 @@ def pairwise_distances(a: PointSet, b: PointSet) -> np.ndarray:
     """Dense (len(a), len(b)) Euclidean distance matrix."""
     if len(a) == 0 or len(b) == 0:
         return np.zeros((len(a), len(b)), dtype=np.float64)
-    diff = a.coords[:, None, :] - b.coords[None, :, :]
-    return np.hypot(diff[..., 0], diff[..., 1])
+    with np.errstate(over="ignore"):   # beyond the float range: inf
+        diff = a.coords[:, None, :] - b.coords[None, :, :]
+        return np.hypot(diff[..., 0], diff[..., 1])
 
 
 def pairs_within(queries: PointSet, targets: PointSet,

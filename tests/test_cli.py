@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,18 @@ class TestMatchCommand:
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         gt = write(tmp_path / "g.txt", "1 1\n")
         assert cli.main(["match", str(tmp_path / "nope.txt"), gt]) == 2
+
+    def test_distance_beyond_float_range_is_data_error(self, tmp_path, capsys):
+        # (0, 0) to (1.5e308, 1.5e308) is about 2.1e308: the radius
+        # distance overflows.
+        far = int(1.5e308)
+        pred = write(tmp_path / "p.txt", "0 0\n")
+        gt = write(tmp_path / "g.txt", f"{far} {far}\n")
+        assert cli.main(["match", pred, gt]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: a distance overflowed: the coordinates span "
+                              "more than the float range")
 
     def test_deterministic_output_bytes(self, tmp_path):
         pred = write(tmp_path / "p.txt", "1 1\n7 3\n")
@@ -256,6 +270,19 @@ class TestSynthCommand:
                          "--out", str(gt), "--density-out", str(dmap)]) == 0
         from countmatch.densitymap import load_csv
         assert load_csv(dmap).values.shape == (32, 32)
+
+    def test_density_csv_bytes_frozen(self, tmp_path):
+        # %.17g writes every bit of every pixel sum, so this digest pins
+        # the rendered values and their summation order. It assumes
+        # numpy's float64 exp returns the same bits as where the digest
+        # was taken (numpy 2.4 on x86-64).
+        gt = tmp_path / "gt.txt"
+        dmap = tmp_path / "map.csv"
+        assert cli.main(["synth", "--n", "40", "--width", "48", "--height", "40",
+                         "--jitter", "0.3", "--render-sigma", "1.5", "--seed", "7",
+                         "--out", str(gt), "--density-out", str(dmap)]) == 0
+        assert hashlib.sha256(dmap.read_bytes()).hexdigest() == (
+            "4821f476e070b2d5747969f6972cade638a1699035ca953e5a4d96f9b6461f1c")
 
     def test_infeasible_scene_is_data_error(self, tmp_path, capsys):
         code = cli.main(["synth", "--profile", "two_cluster", "--n", "500",

@@ -177,7 +177,7 @@ class TestGridEqualsFullScan:
         # hi - lo overflows for targets at -1e308 and 1e308; the grid must
         # still index them, and far queries must still see the whole cloud.
         # The library scopes the overflows it expects, so any warning is an
-        # error; only the dense reference runs under np.errstate.
+        # error, the dense reference included.
         rng = np.random.default_rng(17)
         targets = rng.uniform(0, 1000, (GRID_BACKEND_THRESHOLD + 44, 2))
         targets[:2] = [(-1e308, 5.0), (1e308, -3.0)]
@@ -188,15 +188,13 @@ class TestGridEqualsFullScan:
         queries, targets = PointSet.from_coords(queries), PointSet.from_coords(targets)
         # k = 1 keeps every adaptive radius finite.
         self.assert_grid_equals_full_scan(queries, targets, radii, 1)
-        with np.errstate(over="ignore"):
-            full = np.sort(pairwise_distances(queries, targets), axis=1)
+        full = np.sort(pairwise_distances(queries, targets), axis=1)
         for i, q in enumerate(queries.coords):
             assert knn_distances(q, targets, 5).tobytes() == full[i, :5].tobytes()
 
     @staticmethod
     def assert_grid_equals_full_scan(queries, targets, radii, k):
-        with np.errstate(over="ignore"):
-            full = pairwise_distances(queries, targets)
+        full = pairwise_distances(queries, targets)
         nearest = np.sort(full, axis=1)[:, :min(k, len(targets))]
 
         qi, ti, d = pairs_within(queries, targets, radii)
@@ -337,6 +335,17 @@ class TestAllRadii:
         assert prof.radii[1:].tobytes() == all_radii(PointSet(near), gt, k=5).radii.tobytes()
         assert adaptive_radius(near[0], gt, k=5) == prof.radii[1]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [2, GRID_BACKEND_THRESHOLD + 20])
+    def test_distance_beyond_float_range_names_the_cause(self, m):
+        # (-1e308, 0) to (1e308, y) is 2e308: the distance itself
+        # overflows, which no mean can repair.
+        gt = PointSet([(1e308, float(y)) for y in range(m)])
+        with pytest.raises(ValueError, match="span more than the float range"):
+            all_radii(PointSet([(-1e308, 0.0)]), gt, k=1)
+        with pytest.raises(ValueError, match="span more than the float range"):
+            adaptive_radius((-1e308, 0.0), gt, k=1)
+
 
 class TestGeometryProperties:
     def test_translation_invariance(self):
@@ -372,3 +381,11 @@ class TestGeometryProperties:
         d = pairwise_distances(a, b)
         np.testing.assert_allclose(d, [[3, 4, 0], [np.hypot(1, 3), 3, 1]])
         assert pairwise_distances(PointSet([]), b).shape == (0, 3)
+
+    @pytest.mark.filterwarnings("error")
+    def test_pairwise_distances_beyond_float_range(self):
+        # Differences and hypot past 1.8e308 are inf, without a warning.
+        a = PointSet([(-1e308, 0.0), (0.0, 0.0)])
+        b = PointSet([(1e308, 0.0), (1.5e308, 1.5e308), (3.0, 4.0)])
+        d = pairwise_distances(a, b)
+        assert d.tolist() == [[np.inf, np.inf, 1e308], [1e308, np.inf, 5.0]]
