@@ -1,20 +1,33 @@
-"""Exact solver for the rectangular linear assignment problem.
+"""Exact solvers for the rectangular linear assignment problem.
 
-Implements the Jonker-Volgenant shortest-augmenting-path formulation
-directly on rectangular cost matrices (no square padding): a column
-reduction plus greedy seeding pass, then one Dijkstra-style augmentation
-per remaining row, vectorized over columns. Complexity is O(n^2 m) for
-an n x m matrix with n <= m; wider-than-tall inputs are solved on the
-transpose.
+One algorithm, two row representations: shortest augmenting paths in the
+form of Jonker & Volgenant's sparse LAPJVsp (1987), with the dual updates
+of Crouse 2016 ("On implementing 2D rectangular assignment algorithms").
+:func:`hungarian_solve` reads each row as a dense numpy row and settles
+columns with ``argmin``; :func:`max_weight_matching` reads rows as CSR
+edge lists and settles columns from a heap. Neither pads to a square.
 
-The solver minimizes. Callers that want a maximum-weight matching negate
-their weights. Ties are broken deterministically: rows are processed in
-increasing index order and among equal-slack columns the lowest index
-wins, so identical inputs always produce identical assignments.
+For an n x m problem with n <= m, the rows are augmented one at a time,
+in index order. A row's potential starts at its least cost and every
+column potential at 0, so every reduced cost starts non-negative.
+Dijkstra then grows raw path lengths from the row over the reduced
+costs until it settles a free column. Only then are the potentials of
+the settled columns and of the rows holding them updated, once, and the
+path is flipped back to the row. A dense solve costs O(n^2 m); wider
+than tall inputs are solved on the transpose.
+
+Tie rule: rows in index order, and among equal path lengths the lowest
+column is settled first (``np.argmin`` on a dense row, the heap key
+(length, column) on an edge list). Identical inputs therefore always
+give identical assignments.
+
+Both solvers minimize. Callers that want a maximum-weight matching
+negate their weights.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -70,79 +83,105 @@ def hungarian_solve(cost) -> Assignment:
         pairs = sorted((r, c) for c, r in transposed.pairs)
         return Assignment(pairs=tuple(pairs), total_cost=transposed.total_cost)
 
-    col_of_row = _solve_rect(cost)
-    pairs = tuple((i, int(col_of_row[i])) for i in range(n))
-    total = math.fsum(cost[i, j] for i, j in pairs)
-    return Assignment(pairs=pairs, total_cost=total)
+    u = cost.min(axis=1)                    # row potentials
+    v = np.zeros(m)                         # column potentials
+    row_of = np.full(m, -1, dtype=np.int64)  # row holding each column, -1 if free
+    col_of = [-1] * n                       # column held by each row
+    for cur in range(n):
+        dist = np.full(m, np.inf)
+        via = np.zeros(m, dtype=np.int64)   # row whose entry last lowered dist[j]
+        open_v = v.copy()                   # v, with -inf on settled columns
+        done, done_at = [], []              # settled columns and their path lengths
+        i, reach = cur, 0.0
+        while True:
+            # A settled column's path length reads inf, so it is never
+            # lowered again, and its dist is inf, so it is never picked.
+            r = reach - u[i] + cost[i] - open_v
+            lower = r < dist
+            np.copyto(dist, r, where=lower)
+            np.copyto(via, i, where=lower)
+            j = int(np.argmin(dist))
+            reach = float(dist[j])
+            dist[j], open_v[j] = np.inf, -np.inf
+            done.append(j)
+            done_at.append(reach)
+            if row_of[j] < 0:
+                break
+            i = int(row_of[j])
+        u[cur] += reach
+        delta = reach - np.array(done_at)
+        v[done] -= delta
+        u[row_of[done[:-1]]] += delta[:-1]
+        while True:                         # flip the path from the free column j back to cur
+            i = int(via[j])
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == cur:
+                break
+    pairs = tuple(enumerate(col_of))
+    return Assignment(pairs=pairs, total_cost=math.fsum(cost[i, j] for i, j in pairs))
 
 
-def _solve_rect(cost: np.ndarray) -> np.ndarray:
-    """Core JV loop for n <= m. Returns col_of_row."""
-    n, m = cost.shape
-    u = np.zeros(n, dtype=np.float64)
-    v = np.zeros(m, dtype=np.float64)
+def max_weight_matching(pi: np.ndarray, gj: np.ndarray, w: np.ndarray,
+                        n: int, m: int) -> np.ndarray:
+    """Edge indices of a maximum-weight matching of the bipartite edge
+    graph (edge e joins prediction pi[e] and gt gj[e], weight w[e] > 0).
 
-    col_of_row = np.full(n, -1, dtype=np.int64)
-    row_of_col = np.full(m, -1, dtype=np.int64)
+    Edges must be ordered by prediction, then gt, and each (pi, gj) pair
+    must occur once. The graph is solved as one rectangular assignment
+    over its edge list. Rows are the predictions. Columns are the gt
+    points 0..m-1, then one private "unmatched" column per row:
+    m + n - 1 - i for row i. An edge costs -w[e] and a private column 0,
+    so the least cost is the largest weight. A row without edges keeps
+    its private column.
 
-    # Square problems admit a column-reduction warm start: with u = 0 and
-    # v the column minima, a pair is dual tight exactly where cost - v is
-    # zero, so each row can greedily grab its first free tight column.
-    # Rectangular problems cannot (columns left unmatched must keep a
-    # non-positive potential), so they start cold.
-    if n == m:
-        v = cost.min(axis=0).astype(np.float64)
-        for i in range(n):
-            reduced = cost[i] - v
-            for j in np.nonzero(reduced == 0.0)[0]:
-                if row_of_col[j] == -1:
-                    col_of_row[i] = j
-                    row_of_col[j] = int(i)
-                    break
-
-    for i in range(n):
-        if col_of_row[i] == -1:
-            _augment(cost, u, v, col_of_row, row_of_col, i)
-    return col_of_row
-
-
-def _augment(cost: np.ndarray, u: np.ndarray, v: np.ndarray,
-             col_of_row: np.ndarray, row_of_col: np.ndarray, start_row: int) -> None:
-    """Grow the matching with a shortest augmenting path from one row."""
-    m = cost.shape[1]
-    minv = np.full(m, np.inf, dtype=np.float64)
-    came_from = np.full(m, -1, dtype=np.int64)  # predecessor column; -1 = start row
-    in_tree = np.zeros(m, dtype=bool)
-    tree_rows = [start_row]
-    i0 = start_row  # row most recently added to the alternating tree
-    j0 = -1         # column that brought i0 into the tree
-
-    while True:
-        cand = cost[i0] - u[i0] - v
-        better = (~in_tree) & (cand < minv)
-        minv[better] = cand[better]
-        came_from[better] = j0
-
-        masked = np.where(in_tree, np.inf, minv)
-        j1 = int(np.argmin(masked))
-        delta = float(masked[j1])
-
-        u[np.asarray(tree_rows, dtype=np.int64)] += delta
-        v[in_tree] -= delta
-        minv[~in_tree] -= delta
-
-        in_tree[j1] = True
-        j0 = j1
-        i0 = int(row_of_col[j1])
-        if i0 == -1:
-            break
-        tree_rows.append(i0)
-
-    # Flip the alternating path back to the start row.
-    j = j0
-    while j != -1:
-        prev = int(came_from[j])
-        row = start_row if prev == -1 else int(row_of_col[prev])
-        row_of_col[j] = row
-        col_of_row[row] = j
-        j = prev
+    Under the module's tie rule a gt column comes before any private
+    column, and a later row's private column before an earlier row's:
+    when two rows tie for one gt, the earlier row keeps it. Time and
+    memory follow the edges that the augmenting paths touch, never the
+    n x m product.
+    """
+    start = np.searchsorted(pi, np.arange(n + 1)).tolist()
+    cols, cost = gj.tolist(), (-w).tolist()
+    u = [0.0] * n                 # row potentials
+    v = [0.0] * (m + n)           # column potentials
+    row_of = [-1] * (m + n)       # row holding each column, -1 if free
+    col_of = [-1] * n             # column held by each row
+    for cur in range(n):
+        if start[cur] == start[cur + 1]:
+            continue              # no edge: the row keeps its private column
+        u[cur] = min(cost[start[cur]:start[cur + 1]])
+        dist: dict[int, float] = {}
+        via: dict[int, int] = {}  # row whose edge last lowered dist[j]
+        done: dict[int, float] = {}   # settled columns, in settling order
+        heap: list[tuple[float, int]] = []
+        i, reach = cur, 0.0
+        while True:
+            base = reach - u[i]
+            s, e = start[i], start[i + 1]
+            for j, c in zip(cols[s:e] + [m + n - 1 - i], cost[s:e] + [0.0]):
+                if j not in done:
+                    r = base + c - v[j]
+                    if r < dist.get(j, math.inf):
+                        dist[j], via[j] = r, i
+                        heapq.heappush(heap, (r, j))
+            reach, j = heapq.heappop(heap)
+            while j in done:      # stale entry of a settled column
+                reach, j = heapq.heappop(heap)
+            done[j] = reach
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+        u[cur] += reach
+        for k, d in done.items():
+            v[k] -= reach - d
+            if k != j:
+                u[row_of[k]] += reach - d
+        while True:               # flip the path from the free column j back to cur
+            i = via[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == cur:
+                break
+    gt_of = np.array(col_of, dtype=np.int64)
+    return np.flatnonzero(gj == gt_of[pi])

@@ -47,7 +47,11 @@ def parse_coord_file(path, label: PointLabel = PointLabel.UNLABELED) -> PointSet
             m = _COORD_LINE.match(stripped)
             if not m:
                 raise ValueError(f"{path}:{lineno}: malformed coordinate line: {stripped!r}")
-            pts.append((int(m.group(1)), int(m.group(2))))
+            try:
+                pts.append((float(int(m.group(1))), float(int(m.group(2)))))
+            except OverflowError:
+                raise ValueError(f"{path}:{lineno}: coordinate out of float range "
+                                 "(about 1.8e308)") from None
     return PointSet(pts, label=label)
 
 

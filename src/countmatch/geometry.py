@@ -374,12 +374,10 @@ def _mean_distance(nearest: np.ndarray) -> np.ndarray:
     Such means are taken again on the distances scaled down by a power
     of two above their count, so the sum stays finite, and scaled back
     up; both scalings are exact. Every other mean is ``mean(axis=-1)``
-    bit for bit. An inf distance raises ValueError: between finite
-    points it means the coordinates span more than the float range.
+    bit for bit. An inf distance raises ValueError
+    (:func:`require_finite_distances`).
     """
-    if np.any(np.isinf(nearest[..., -1])):
-        raise ValueError("a distance overflowed: the coordinates span more than "
-                         "the float range (about 1.8e308)")
+    require_finite_distances(nearest[..., -1])
     with np.errstate(over="ignore"):
         mean = nearest.mean(axis=-1)
     over = np.isinf(mean) & np.isfinite(nearest[..., -1])
@@ -387,6 +385,14 @@ def _mean_distance(nearest: np.ndarray) -> np.ndarray:
         scale = float(2 ** nearest.shape[-1].bit_length())
         mean = np.where(over, (nearest / scale).mean(axis=-1) * scale, mean)
     return mean
+
+
+def require_finite_distances(distances) -> None:
+    """Raise ValueError if any of ``distances`` is inf: between finite
+    points that means the coordinates span more than the float range."""
+    if np.any(np.isinf(distances)):
+        raise ValueError("a distance overflowed: the coordinates span more than "
+                         "the float range (about 1.8e308)")
 
 
 def pairwise_distances(a: PointSet, b: PointSet) -> np.ndarray:

@@ -16,24 +16,15 @@ Under ``OutOfRadiusMode.FORBID`` (the default) a non-edge weighs 0 in
 the solve and is stripped afterwards, so only the edges matter. The
 matcher therefore never builds the dense n x m problem: it finds the
 edges with range queries (:func:`geometry.pairs_within`), weights only
-those, and solves one assignment over the edge list by shortest
-augmenting paths (the sparse LAPJVsp of Jonker & Volgenant 1987). Rows
-are the predictions; columns are the gt points plus one private
-"unmatched" column per prediction, so a prediction may stay unmatched
-at cost 0 against -weight for an edge. Time and memory follow the edges
-the augmenting paths touch, not the n x m cross product, however large
-a connected part of the edge graph is.
-
-Tie rule of the sparse solve: predictions are augmented in index order,
-and each search takes the lowest column among equal path costs, so a
-gt point before leaving the prediction unmatched, and of two predictions
-tied for one gt point the earlier keeps it. The totals equal the dense
-solve's; on exact ties the pairs may differ.
-
-``OutOfRadiusMode.LINEAR_PENALTY`` gives non-edges negative weights that
-couple every pair, so it keeps the dense path: :func:`build_weight_matrix`
-plus one :func:`hungarian_solve`. That dense pair is also the reference
-the sparse path is tested against.
+those, and solves one assignment over the edge list
+(:func:`assignment.max_weight_matching`), in which each prediction may
+stay unmatched at cost 0 against -weight for an edge. Time and memory
+follow the edges the augmenting paths touch, not the n x m cross
+product. ``OutOfRadiusMode.LINEAR_PENALTY`` gives non-edges negative
+weights that couple every pair, so it solves the dense
+:func:`build_weight_matrix` with one :func:`hungarian_solve`. That dense
+pair is also the reference the sparse path is tested against. Both
+solves run the one algorithm and tie rule of :mod:`countmatch.assignment`.
 
 A factorial brute-force matcher with identical semantics serves as the
 correctness oracle for small instances.
@@ -41,7 +32,6 @@ correctness oracle for small instances.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -50,7 +40,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .assignment import hungarian_solve
+from .assignment import hungarian_solve, max_weight_matching
 from .geometry import (
     DEFAULT_K,
     DEFAULT_RADIUS_FLOOR,
@@ -59,12 +49,13 @@ from .geometry import (
     all_radii,
     pairs_within,
     pairwise_distances,
+    require_finite_distances,
 )
 
 #: Default width factor for the radius-scaled Gaussian: sigma_i = 0.5 * radius_i.
 DEFAULT_SIGMA_FACTOR = 0.5
 
-#: Factorial-enumeration guard for the brute-force oracle.
+#: The brute-force oracle enumerates at most BRUTE_FORCE_LIMIT! injective mappings.
 BRUTE_FORCE_LIMIT = 10
 
 
@@ -184,6 +175,7 @@ def build_weight_matrix(pred: PointSet, gt: PointSet, radii: RadiusProfile,
         values = np.where(in_radius, values, 0.0)
     else:
         d_max = float(d.max())
+        require_finite_distances(d_max)
         penalty = -d / d_max if d_max > 0 else np.zeros_like(d)
         values = np.where(in_radius, values, penalty)
     return WeightMatrix(values=values, in_radius=in_radius, distances=d)
@@ -239,7 +231,7 @@ def match_with_radii(pred: PointSet, gt: PointSet, radii: RadiusProfile,
     w = _gaussian(d, _sigma(radii.radii[pi], cfg))
     edge = w > 0.0
     pi, gj, d, w = pi[edge], gj[edge], d[edge], w[edge]
-    keep = _max_weight_matching(pi, gj, w, n, m)
+    keep = max_weight_matching(pi, gj, w, n, m)
     return _assemble(pi[keep], gj[keep], d[keep], w[keep], n, m)
 
 
@@ -253,7 +245,9 @@ def brute_force_match(pred: PointSet, gt: PointSet, cfg: MatchConfig = MatchConf
     Stripping of out-of-radius pairs is identical to the solver path.
     """
     n, m = len(pred), len(gt)
-    if min(n, m) > BRUTE_FORCE_LIMIT:
+    # The first test only keeps the product math.perm takes short.
+    if (min(n, m) > BRUTE_FORCE_LIMIT
+            or math.perm(max(n, m), min(n, m)) > math.factorial(BRUTE_FORCE_LIMIT)):
         raise ValueError("oracle instance too large")
     if n == 0 or m == 0:
         return _all_unmatched(n, m)
@@ -301,75 +295,6 @@ def _gaussian(d: np.ndarray, sigma) -> np.ndarray:
             ratio = d / sigma
             w = np.where(off, np.exp(-0.5 * ratio * ratio), w)
     return w
-
-
-def _max_weight_matching(pi: np.ndarray, gj: np.ndarray, w: np.ndarray,
-                         n: int, m: int) -> np.ndarray:
-    """Edge indices of a maximum-weight matching of the bipartite edge
-    graph (edge e joins prediction pi[e] and gt gj[e], weight w[e] > 0).
-
-    Edges must be ordered by prediction, then gt, and each (pi, gj) pair
-    must occur once. The graph is solved as one rectangular assignment
-    by shortest augmenting paths over its edge list (the sparse LAPJVsp
-    of Jonker & Volgenant 1987, with the dual updates of Crouse 2016).
-    Rows are the predictions. Columns are the gt points 0..m-1, then one
-    private "unmatched" column per row: m + n - 1 - i for row i. An edge
-    costs -w[e] and a private column 0, so the least cost is the largest
-    weight. Each row potential starts at its row minimum (its least -w[e],
-    below the private column's 0), so every reduced cost starts
-    non-negative.
-
-    Tie rule: rows are augmented in index order, and each row's Dijkstra
-    search settles columns by (distance, column), so the lowest column
-    wins a tie. A gt column thus comes before any private column, and a
-    later row's private column before an earlier row's: when two rows tie
-    for one gt, the earlier row keeps it. Time and memory follow the
-    edges that the augmenting paths touch, never the n x m product.
-    """
-    start = np.searchsorted(pi, np.arange(n + 1)).tolist()
-    cols, cost = gj.tolist(), (-w).tolist()
-    u = [0.0] * n                 # row potentials
-    v = [0.0] * (m + n)           # column potentials
-    row_of = [-1] * (m + n)       # row holding each column, -1 if free
-    col_of = [-1] * n             # column held by each row
-    for cur in range(n):
-        if start[cur] == start[cur + 1]:
-            continue              # no edge: the row keeps its private column
-        u[cur] = min(cost[start[cur]:start[cur + 1]])
-        dist: dict[int, float] = {}
-        via: dict[int, int] = {}  # row whose edge last lowered dist[j]
-        done: dict[int, float] = {}   # settled columns, in settling order
-        heap: list[tuple[float, int]] = []
-        i, reach = cur, 0.0
-        while True:
-            base = reach - u[i]
-            s, e = start[i], start[i + 1]
-            for j, c in zip(cols[s:e] + [m + n - 1 - i], cost[s:e] + [0.0]):
-                if j not in done:
-                    r = base + c - v[j]
-                    if r < dist.get(j, math.inf):
-                        dist[j], via[j] = r, i
-                        heapq.heappush(heap, (r, j))
-            reach, j = heapq.heappop(heap)
-            while j in done:      # stale entry of a settled column
-                reach, j = heapq.heappop(heap)
-            done[j] = reach
-            if row_of[j] < 0:
-                break
-            i = row_of[j]
-        u[cur] += reach
-        for k, d in done.items():
-            v[k] -= reach - d
-            if k != j:
-                u[row_of[k]] += reach - d
-        while True:               # flip the path from the free column j back to cur
-            i = via[j]
-            row_of[j] = i
-            col_of[i], j = j, col_of[i]
-            if i == cur:
-                break
-    gt_of = np.array(col_of, dtype=np.int64)
-    return np.flatnonzero(gj == gt_of[pi])
 
 
 def _assemble_solved(wm: WeightMatrix, solver_pairs) -> MatchResult:

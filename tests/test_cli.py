@@ -107,6 +107,30 @@ class TestMatchCommand:
         assert err.startswith("error: a distance overflowed: the coordinates span "
                               "more than the float range")
 
+    @pytest.mark.filterwarnings("error")
+    def test_linear_penalty_distance_beyond_float_range_is_data_error(self, tmp_path, capsys):
+        # The far gt point is nobody's nearest neighbour at k = 1, so only
+        # the penalty's largest distance overflows.
+        far = 17 * 10 ** 307
+        pred = write(tmp_path / "p.txt", "0 0\n1 1\n")
+        gt = write(tmp_path / "g.txt", f"0 0\n2 2\n{far} {far}\n")
+        assert cli.main(["match", pred, gt, "--mode", "linear_penalty", "--k", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: a distance overflowed: the coordinates span "
+                              "more than the float range")
+        assert cli.main(["match", pred, gt, "--k", "1"]) == 0
+
+    def test_coordinate_beyond_float_range_is_data_error(self, tmp_path, capsys):
+        pred = write(tmp_path / "p.txt", "0 0\n" + "1" + "0" * 400 + " 0\n")
+        gt = write(tmp_path / "g.txt", "1 1\n")
+        with pytest.raises(ValueError, match=r"p\.txt:2: coordinate out of float range"):
+            cli.parse_coord_file(pred)
+        assert cli.main(["match", pred, gt]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "p.txt:2: coordinate out of float range" in err
+
     def test_deterministic_output_bytes(self, tmp_path):
         pred = write(tmp_path / "p.txt", "1 1\n7 3\n")
         gt = write(tmp_path / "g.txt", "2 1\n7 4\n9 9\n")

@@ -292,6 +292,16 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="oracle instance too large"):
             brute_force_match(pred, gt)
 
+    def test_size_guard_counts_mappings(self):
+        # Only 5 predictions, but 60 * 59 * 58 * 57 * 56 injective mappings.
+        pred = PointSet([(float(i), 0.0) for i in range(5)])
+        gt = PointSet([(float(j), 1.0) for j in range(60)])
+        started = time.perf_counter()
+        for a, b in ((pred, gt), (gt, pred)):
+            with pytest.raises(ValueError, match="oracle instance too large"):
+                brute_force_match(a, b)
+        assert time.perf_counter() - started < 0.1
+
     def test_rectangular_orientations(self):
         rng = np.random.default_rng(12)
         for shape in [(2, 6), (6, 2)]:
@@ -335,6 +345,19 @@ class TestLinearPenaltyMode:
             check_result_invariants(result, len(pred), len(gt))
             for p in result.pairs:
                 assert p.distance <= radii.radii[p.pred_index] + 1e-12
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowed_distance_outside_every_knn_set(self):
+        # gt (1.7e308, 1.7e308) is nobody's nearest neighbour, so the radii
+        # are finite, but its distance from (0, 0) overflows to inf.
+        pred = PointSet([(0.0, 0.0), (1.0, 1.0)])
+        gt = PointSet([(0.0, 0.0), (2.0, 2.0), (1.7e308, 1.7e308)])
+        cfg = MatchConfig(k=1, out_of_radius=OutOfRadiusMode.LINEAR_PENALTY)
+        with pytest.raises(ValueError, match="a distance overflowed"):
+            match_points(pred, gt, cfg)
+        forbid = match_points(pred, gt, MatchConfig(k=1))
+        assert [(p.pred_index, p.gt_index) for p in forbid.pairs] == [(0, 0), (1, 1)]
 
 
 class TestMatchConfig:
@@ -474,6 +497,25 @@ class TestTieRule:
         result = fixed_radius_match(PointSet([(0, 0), (-2, 0)]),
                                     PointSet([(-1, 0), (1, 0)]), radius=1.5)
         assert [(p.pred_index, p.gt_index) for p in result.pairs] == [(0, 1), (1, 0)]
+
+
+    def test_dense_solve_takes_the_sparse_pairs(self):
+        # The same private-column problem as a dense matrix: -w on the
+        # edges, 0 on each row's own private column m + n - 1 - i, 1.0
+        # elsewhere. Under the one tie rule the dense and the sparse
+        # solve return the same pairs, ties included.
+        rng = np.random.default_rng(24)
+        for _ in range(400):
+            n, m = rng.integers(1, 41, 2)
+            extent = rng.choice([4.0, 10.0, 30.0])
+            pred = PointSet(np.round(rng.uniform(0, extent, (n, 2))))
+            gt = PointSet(np.round(rng.uniform(0, extent, (m, 2))))
+            wm = build_weight_matrix(pred, gt, all_radii(pred, gt), MatchConfig())
+            cost = np.ones((n, m + n))
+            cost[:, :m][wm.in_radius] = -wm.values[wm.in_radius]
+            cost[np.arange(n), m + n - 1 - np.arange(n)] = 0.0
+            dense = [(i, j) for i, j in hungarian_solve(cost).pairs if j < m]
+            assert dense == [(p.pred_index, p.gt_index) for p in match_points(pred, gt).pairs]
 
 
 class TestFarPrediction:
