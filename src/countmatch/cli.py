@@ -106,16 +106,18 @@ def _match_config(args) -> MatchConfig:
 
 
 def _add_match_flags(parser) -> None:
-    parser.add_argument("--k", type=int, default=5, help="neighbor count for adaptive radii")
+    default = MatchConfig()
+    parser.add_argument("--k", type=int, default=default.k,
+                        help="neighbor count for adaptive radii")
     parser.add_argument("--sigma-mode", choices=[m.value for m in SigmaMode],
-                        default=SigmaMode.RADIUS_SCALED.value,
+                        default=default.sigma_mode.value,
                         help="Gaussian width policy")
-    parser.add_argument("--sigma-value", type=float, default=0.5,
+    parser.add_argument("--sigma-value", type=float, default=default.sigma_value,
                         help="width in px (fixed) or radius factor (radius_scaled)")
-    parser.add_argument("--radius-floor", type=float, default=1e-3,
+    parser.add_argument("--radius-floor", type=float, default=default.radius_floor,
                         help="lower bound on adaptive radii, px")
     parser.add_argument("--mode", choices=[m.value for m in OutOfRadiusMode],
-                        default=OutOfRadiusMode.FORBID.value,
+                        default=default.out_of_radius.value,
                         help="treatment of pairs beyond the radius")
 
 
@@ -295,10 +297,8 @@ def _format_eval_report(report) -> str:
 
 
 def _write_grid_csv(path_or_stdout, grid: np.ndarray) -> None:
-    if path_or_stdout is None:
-        np.savetxt(sys.stdout, grid, delimiter=",", fmt="%.17g")
-    else:
-        np.savetxt(path_or_stdout, grid, delimiter=",", fmt="%.17g")
+    np.savetxt(sys.stdout if path_or_stdout is None else path_or_stdout, grid,
+               delimiter=",", fmt="%.17g")
 
 
 def cmd_kernel(args) -> int:
@@ -320,8 +320,11 @@ def run_gradcheck(trials: int, size: int, epsilon: float, seed: int = 0):
 
     Returns (max_rel_err, description). Relative error is taken per grid
     entry against max(|analytic|, |numeric|, 1e-12) and only entries with
-    |K| > 1e-12 are scored.
+    |K| > 1e-12 are scored. A NaN error is the worst: it is returned, at
+    the first place it occurs. ``epsilon`` must be positive and finite.
     """
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_desc = "no trials"
@@ -348,7 +351,7 @@ def run_gradcheck(trials: int, size: int, epsilon: float, seed: int = 0):
             denom = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-12)
             rel = np.abs(analytic - fd) / denom
             err = float(rel[mask].max()) if mask.any() else 0.0
-            if err > worst:
+            if err > worst or (math.isnan(err) and not math.isnan(worst)):
                 worst = err
                 worst_desc = f"trial {trial}, parameter {name}"
     return worst, worst_desc

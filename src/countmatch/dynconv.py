@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .kernels import logistic, squash_offset, squash_sigma
+from .kernels import _validate_size, logistic, squash_offset, squash_sigma
 
 
 @dataclass(frozen=True)
@@ -198,8 +198,7 @@ def dynamic_gaussian_conv(feature: FeatureMap, field: ParamField, size: int,
     a ring). With ``renormalize`` the sum is divided by each per-pixel
     kernel's discrete sum.
     """
-    if size < 3 or size % 2 == 0:
-        raise ValueError(f"kernel size must be odd and >= 3, got {size}")
+    size = _validate_size(size)
     return FeatureMap(_gaussian_pass(feature, field, {size // 2}, renormalize)[size // 2])
 
 
@@ -218,12 +217,12 @@ def multiscale_forward(feature: FeatureMap, field: ParamField,
     standard path first, in the order of ``scales``, so the output has
     2 * len(scales) * C channels.
     """
-    scales = list(scales)
+    try:
+        scales = [_validate_size(s) for s in scales]
+    except ValueError as exc:
+        raise ValueError(f"invalid scale: {exc}") from None
     if not scales:
         raise ValueError("invalid scale: need at least one kernel size")
-    for s in scales:
-        if s < 3 or s % 2 == 0:
-            raise ValueError(f"invalid scale: kernel sizes must be odd and >= 3, got {s}")
     saved = _gaussian_pass(feature, field, {s // 2 for s in scales}, renormalize)
     standard = [feature.values for _ in scales]
     gaussian = [saved[s // 2] for s in scales]

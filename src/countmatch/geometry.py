@@ -58,7 +58,7 @@ class Point:
             raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
 
     def distance_to(self, other: "Point") -> float:
-        return float(np.hypot(self.x - other.x, self.y - other.y))
+        return float(_distances((self.x, self.y), (other.x, other.y)))
 
 
 PointLike = Union[Point, Sequence[float]]
@@ -232,9 +232,7 @@ class _UniformGrid:
             lens = self.starts[ix + hi[cols, 1]] - first
             ti = self.order[_ranges(first, lens)]
             qi = np.repeat(cols, lens)
-            pts, q = self.coords[ti], queries[qi]
-            with np.errstate(over="ignore"):   # beyond the float range: inf, outside any disc
-                d = np.hypot(pts[:, 0] - q[:, 0], pts[:, 1] - q[:, 1])
+            d = _distances(self.coords[ti], queries[qi])
             keep = d <= radii[qi]
             yield slice(s, e), qi[keep], ti[keep], d[keep]
             s = e
@@ -247,13 +245,15 @@ def _ranges(first: np.ndarray, length: np.ndarray) -> np.ndarray:
     return np.repeat(first - ends + length, length) + np.arange(total)
 
 
-def _as_query(p: PointLike) -> np.ndarray:
-    if isinstance(p, Point):
-        return np.array([p.x, p.y], dtype=np.float64)
-    q = np.asarray(p, dtype=np.float64).reshape(2)
-    if not np.all(np.isfinite(q)):
-        raise ValueError("query point must be finite")
-    return q
+def _distances(a, b) -> np.ndarray:
+    """Euclidean distances between broadcast (..., 2) coordinate arrays.
+
+    A distance beyond the float range is inf, without a warning: the
+    farthest possible, outside any finite disc.
+    """
+    with np.errstate(over="ignore"):
+        diff = np.subtract(a, b)
+        return np.hypot(diff[..., 0], diff[..., 1])
 
 
 def knn_distances(query: PointLike, targets: PointSet, k: int) -> np.ndarray:
@@ -273,7 +273,7 @@ def knn_distances(query: PointLike, targets: PointSet, k: int) -> np.ndarray:
         ``min(k, len(targets))`` Euclidean distances in non-decreasing
         order. This is a prefix of the fully sorted distance list.
     """
-    return _knn(_as_query(query)[None, :], targets, k)[0]
+    return _knn(PointSet([query]).coords, targets, k)[0]
 
 
 def adaptive_radius(p: PointLike, gt: PointSet, k: int = DEFAULT_K,
@@ -283,9 +283,7 @@ def adaptive_radius(p: PointLike, gt: PointSet, k: int = DEFAULT_K,
     When ``k`` exceeds the number of available targets the mean is taken
     over all of them; the result is never below ``floor``.
     """
-    if not (floor > 0 and math.isfinite(floor)):
-        raise ValueError("radius floor must be positive and finite")
-    return max(float(_mean_distance(knn_distances(p, gt, k))), floor)
+    return float(all_radii(PointSet([p]), gt, k, floor).radii[0])
 
 
 #: Cell budget of one block of a full scan: query rows are scanned in
@@ -303,10 +301,7 @@ def _scan_blocks(queries: np.ndarray, targets: np.ndarray) -> Iterator[tuple[int
     """
     rows = max(1, _SCAN_BLOCK_CELLS // max(len(targets), 1))
     for s in range(0, len(queries), rows):
-        with np.errstate(over="ignore"):   # beyond the float range: inf, the farthest
-            diff = queries[s:s + rows, None, :] - targets[None, :, :]
-            d = np.hypot(diff[..., 0], diff[..., 1])
-        yield s, d
+        yield s, _distances(queries[s:s + rows, None, :], targets[None, :, :])
 
 
 def _knn(queries: np.ndarray, targets: PointSet, k: int) -> np.ndarray:
@@ -334,9 +329,7 @@ def _knn(queries: np.ndarray, targets: PointSet, k: int) -> np.ndarray:
     grid = targets._index()
     # A start or doubled radius beyond the float range is inf: that disc
     # holds the whole cloud.
-    with np.errstate(over="ignore"):
-        gap = np.maximum(np.maximum(grid.origin - queries, queries - grid.top), 0)
-        radii = np.hypot(gap[:, 0], gap[:, 1]) + 2 * grid.cell
+    radii = _distances(queries, np.clip(queries, grid.origin, grid.top)) + 2 * grid.cell
     todo = np.arange(len(queries))
     while todo.size:
         short = [todo[:0]]
@@ -399,9 +392,7 @@ def pairwise_distances(a: PointSet, b: PointSet) -> np.ndarray:
     """Dense (len(a), len(b)) Euclidean distance matrix."""
     if len(a) == 0 or len(b) == 0:
         return np.zeros((len(a), len(b)), dtype=np.float64)
-    with np.errstate(over="ignore"):   # beyond the float range: inf
-        diff = a.coords[:, None, :] - b.coords[None, :, :]
-        return np.hypot(diff[..., 0], diff[..., 1])
+    return _distances(a.coords[:, None, :], b.coords[None, :, :])
 
 
 def pairs_within(queries: PointSet, targets: PointSet,

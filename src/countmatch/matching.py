@@ -254,19 +254,13 @@ def brute_force_match(pred: PointSet, gt: PointSet, cfg: MatchConfig = MatchConf
     if radii is None:
         radii = all_radii(pred, gt, cfg.k, cfg.radius_floor)
     wm = build_weight_matrix(pred, gt, radii, cfg)
-    values = wm.values
-
-    if n <= m:
-        perms = np.array(list(itertools.permutations(range(m), n)), dtype=np.int64)
-        totals = values[np.arange(n)[None, :], perms].sum(axis=1)
-        best = perms[int(np.argmax(totals))]
-        pairs = [(i, int(best[i])) for i in range(n)]
-    else:
-        perms = np.array(list(itertools.permutations(range(n), m)), dtype=np.int64)
-        totals = values[perms, np.arange(m)[None, :]].sum(axis=1)
-        best = perms[int(np.argmax(totals))]
-        pairs = sorted((int(best[j]), j) for j in range(m))
-    return _assemble_solved(wm, pairs)
+    # Rows of ``side`` are the smaller side's points.
+    side = wm.values if n <= m else wm.values.T
+    small, large = side.shape
+    perms = np.array(list(itertools.permutations(range(large), small)), dtype=np.int64)
+    totals = side[np.arange(small)[None, :], perms].sum(axis=1)
+    pairs = np.column_stack((np.arange(small), perms[int(np.argmax(totals))]))
+    return _assemble_solved(wm, pairs if n <= m else pairs[:, ::-1])
 
 
 def _all_unmatched(n: int, m: int) -> MatchResult:

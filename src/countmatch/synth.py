@@ -230,8 +230,9 @@ def perturb_points(points: PointSet, drop_rate: float, spurious_rate: float = 0.
     """
     if not (0.0 <= drop_rate <= 1.0):
         raise ValueError("drop_rate must lie in [0, 1]")
-    if spurious_rate < 0 or noise_sigma < 0:
-        raise ValueError("rates must be non-negative")
+    for name, value in (("spurious_rate", spurious_rate), ("noise_sigma", noise_sigma)):
+        if not (value >= 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be non-negative and finite, got {value}")
     rng = Prng(seed)
     if bounds is not None:
         top = _upper_bounds(bounds[0], bounds[1])
@@ -264,24 +265,38 @@ def sample_separated(n: int, width: float, height: float, min_separation: float,
                      max_attempts_per_point: int = 2000) -> PointSet:
     """Dart-throwing sampler: n points pairwise >= min_separation apart.
 
-    All points stay at least ``margin`` away from the scene borders.
-    Raises when the requested packing cannot be met within the attempt
-    budget.
+    All points stay at least ``margin`` away from the scene borders. A
+    ``min_separation`` <= 0 accepts every candidate. Raises when the
+    requested packing cannot be met within the attempt budget.
+
+    Placed points are kept in a background grid (Bridson 2007) of cells
+    of side ``min_separation / sqrt(2)``, so a candidate is compared only
+    with the points of the 5 x 5 block of cells around its own: every
+    point closer than ``min_separation`` lies in that block.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if width - 2 * margin <= 0 or height - 2 * margin <= 0:
         raise ValueError("margin leaves no usable area")
+    if math.isnan(min_separation):
+        raise ValueError("min_separation must not be NaN")
+    cell = min_separation / math.sqrt(2)
+    grid: dict[tuple[int, int], list[tuple[float, float]]] = {}
     rng = Prng(seed)
     placed: list[tuple[float, float]] = []
     for _ in range(n):
         for attempt in range(max_attempts_per_point):
             x = rng.uniform_in(margin, width - margin)
             y = rng.uniform_in(margin, height - margin)
-            if all((x - px) ** 2 + (y - py) ** 2 >= min_separation ** 2
-                   for px, py in placed):
-                placed.append((x, y))
-                break
+            if min_separation > 0:
+                i, j = math.floor(x / cell), math.floor(y / cell)
+                if not all((x - px) ** 2 + (y - py) ** 2 >= min_separation ** 2
+                           for a in range(i - 2, i + 3) for b in range(j - 2, j + 3)
+                           for px, py in grid.get((a, b), ())):
+                    continue
+                grid.setdefault((i, j), []).append((x, y))
+            placed.append((x, y))
+            break
         else:
             raise ValueError(
                 f"infeasible packing: placed {len(placed)} of {n} points at "

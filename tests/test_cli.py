@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -261,6 +262,31 @@ class TestGradcheckCommand:
     def test_invalid_trials(self, capsys):
         assert cli.main(["gradcheck", "--trials", "0"]) == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-5, float("inf"), float("nan")])
+    def test_epsilon_must_be_positive_and_finite(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            cli.run_gradcheck(1, 9, epsilon)
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_relative_error_fails(self, capsys, monkeypatch):
+        from countmatch import kernels
+
+        true_gradients = kernels.kernel_gradients
+
+        def nan_dx(params, size):
+            g = true_gradients(params, size)
+            return kernels.KernelGradients(
+                d_sigma=g.d_sigma, d_dx=np.full_like(g.d_dx, np.nan), d_dy=g.d_dy,
+                d_sx=g.d_sx, d_sy=g.d_sy)
+
+        monkeypatch.setattr(cli, "kernel_gradients", nan_dx)
+        worst, desc = cli.run_gradcheck(3, 9, 1e-5)
+        assert math.isnan(worst) and desc == "trial 0, parameter dx"
+        assert cli.main(["gradcheck", "--trials", "3"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL gradcheck: max relative error nan ")
+
 
 class TestSynthCommand:
     def test_writes_deterministic_scene(self, tmp_path):
@@ -340,3 +366,55 @@ class TestExitCodeDiscipline:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         assert cli.main(["match", "--help"]) == 0
+
+
+def _contract_files(tmp_path):
+    """Inputs for the CLI contract cases, keyed by name."""
+    files = {
+        "empty": b"",
+        "crlf": b"1 1\r\n5 5\r\n9 1\r\n",
+        "good": b"1 1\n5 5\n9 1\n",
+        "non_ascii": "\u00e9 1\n\u4e2d 2\n".encode("utf-8"),
+    }
+    paths = {}
+    for name, data in files.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_bytes(data)
+    paths["manifest"] = tmp_path / "manifest.tsv"
+    paths["manifest"].write_text(f"{paths['good']}\t{paths['good']}\n"
+                                 f"{tmp_path / 'missing.txt'}\t{paths['good']}\n")
+    paths["out"] = tmp_path / "out.txt"
+    return {k: str(v) for k, v in paths.items()}
+
+
+_SYNTH = ["synth", "--n", "10", "--width", "64", "--height", "64", "--seed", "2",
+          "--out", "{out}", "--perturb-out", "{out}.p"]
+
+
+_CONTRACT_CASES = {
+    "empty-pair-match": (["match", "{empty}", "{empty}"], 0),
+    "empty-pair-eval": (["eval", "{empty}", "{empty}"], 0),
+    "crlf": (["match", "{crlf}", "{good}"], 0),  # text mode reads CRLF as LF
+    "non-ascii-match": (["match", "{non_ascii}", "{good}"], 2),
+    "non-ascii-eval": (["eval", "{good}", "{non_ascii}"], 2),
+    "k-0": (["match", "{good}", "{good}", "--k", "0"], 2),
+    "sigma-nan": (["match", "{good}", "{good}", "--sigma-value", "nan"], 2),
+    "manifest-missing": (["eval", "--manifest", "{manifest}"], 2),
+    "manifest-skip-missing": (["eval", "--manifest", "{manifest}", "--skip-missing"], 0),
+    "noise-inf": (_SYNTH + ["--noise", "inf"], 2),
+    "noise-nan": (_SYNTH + ["--noise", "nan"], 2),
+    "spurious-inf": (_SYNTH + ["--spurious", "inf"], 2),
+    "epsilon-0": (["gradcheck", "--trials", "1", "--epsilon", "0"], 2),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code", _CONTRACT_CASES.values(), ids=_CONTRACT_CASES.keys())
+def test_cli_input_contract(tmp_path, capsys, argv, code):
+    # Every bad input is a data error with one line on stderr; an
+    # exception escaping cli.main (a traceback) or a warning fails here.
+    paths = _contract_files(tmp_path)
+    assert cli.main([a.format(**paths) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == (0 if code == 0 else 1)

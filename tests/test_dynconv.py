@@ -161,6 +161,16 @@ class TestDynamicGaussianConv:
         with pytest.raises(ValueError):
             dynamic_gaussian_conv(fm, field, 4)
 
+    @pytest.mark.parametrize("size", [3.0, 3.5, 5.0, 2.5])
+    def test_non_integer_size_is_value_error(self, size):
+        # The kernel module's size rule, with multiscale's "invalid scale".
+        fm = FeatureMap(np.ones((1, 4, 4)))
+        field = ParamField(np.zeros((3, 4, 4)))
+        with pytest.raises(ValueError, match="must be an integer"):
+            dynamic_gaussian_conv(fm, field, size)
+        with pytest.raises(ValueError, match="invalid scale: kernel size must be an integer"):
+            multiscale_forward(fm, field, scales=(size,))
+
 
 class TestMultiscaleForward:
     def test_first_block_is_identity(self):

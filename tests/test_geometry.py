@@ -84,6 +84,13 @@ class TestKnnDistances:
         with pytest.raises(ValueError, match="invalid k"):
             knn_distances(Point(0, 0), PointSet([(1, 1)]), k=0)
 
+    @pytest.mark.parametrize("query", [(float("nan"), 0.0), (0.0, float("inf"))])
+    def test_non_finite_query(self, query):
+        with pytest.raises(ValueError, match="non-finite"):
+            knn_distances(query, PointSet([(1, 1)]), k=1)
+        with pytest.raises(ValueError, match="non-finite"):
+            adaptive_radius(query, PointSet([(1, 1)]), k=1)
+
     def test_sorted_prefix_property(self):
         # The k-NN output must be a prefix of the fully sorted distance list.
         rng = np.random.default_rng(11)
@@ -389,3 +396,10 @@ class TestGeometryProperties:
         b = PointSet([(1e308, 0.0), (1.5e308, 1.5e308), (3.0, 4.0)])
         d = pairwise_distances(a, b)
         assert d.tolist() == [[np.inf, np.inf, 1e308], [1e308, np.inf, 5.0]]
+
+    @pytest.mark.filterwarnings("error")
+    def test_point_distance_beyond_float_range(self):
+        # The same distance rule as pairwise_distances, one pair at a time.
+        assert Point(0.0, 0.0).distance_to(Point(3.0, 4.0)) == 5.0
+        assert Point(-1e308, 0.0).distance_to(Point(1e308, 0.0)) == np.inf
+        assert Point(0.0, 0.0).distance_to(Point(1.5e308, 1.5e308)) == np.inf

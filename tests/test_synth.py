@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -218,6 +219,12 @@ class TestPerturbPoints:
         with pytest.raises(ValueError):
             perturb_points(pts, drop_rate=0.0, noise_sigma=-1.0)
 
+    @pytest.mark.parametrize("name", ["noise_sigma", "spurious_rate"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    def test_rates_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be non-negative and finite"):
+            perturb_points(PointSet([(1, 1)]), drop_rate=0.0, bounds=(4, 4), **{name: value})
+
 
 def test_scene_coordinates_frozen():
     # A digest of generated coordinates, bit for bit, over every profile,
@@ -255,3 +262,74 @@ class TestSampleSeparated:
         a = sample_separated(10, 64, 64, 8, seed=5)
         b = sample_separated(10, 64, 64, 8, seed=5)
         np.testing.assert_array_equal(a.coords, b.coords)
+
+
+def _reference_sample_separated(n, width, height, min_separation, margin=0.0, seed=0,
+                                max_attempts_per_point=2000):
+    """The quadratic dart-throwing loop that the background grid replaced, verbatim."""
+    rng = Prng(seed)
+    placed = []
+    for _ in range(n):
+        for attempt in range(max_attempts_per_point):
+            x = rng.uniform_in(margin, width - margin)
+            y = rng.uniform_in(margin, height - margin)
+            if all((x - px) ** 2 + (y - py) ** 2 >= min_separation ** 2
+                   for px, py in placed):
+                placed.append((x, y))
+                break
+        else:
+            raise ValueError(
+                f"infeasible packing: placed {len(placed)} of {n} points at "
+                f"separation {min_separation}")
+    return PointSet(placed, label=PointLabel.GROUND_TRUTH)
+
+
+class TestSampleSeparatedGrid:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n, width, height, sep, margin", [
+        (60, 64, 64, 5.0, 0.0),        # dense: many rejections
+        (200, 300, 120, 7.5, 3.25),
+        (90, 40.5, 97, 3, 1.5),        # integer separation, fractional size
+        (40, 1000, 1000, 150.0, 10.0),  # runs out of attempts at 30-33 points
+        (150, 2, 2, 0.1, 0.0),
+        (25, 50, 50, math.inf, 0.0),   # one point fits, then infeasible
+    ])
+    def test_equals_reference_loop(self, seed, n, width, height, sep, margin):
+        def run(f):
+            try:
+                return f(n, width, height, sep, margin=margin, seed=seed,
+                         max_attempts_per_point=300).coords
+            except ValueError as exc:
+                return str(exc)
+        got, want = run(sample_separated), run(_reference_sample_separated)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    def test_infeasible_message_equals_reference(self):
+        args = (100, 32, 32, 16)
+        with pytest.raises(ValueError) as want:
+            _reference_sample_separated(*args, seed=0, max_attempts_per_point=200)
+        with pytest.raises(ValueError) as got:
+            sample_separated(*args, seed=0, max_attempts_per_point=200)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("infeasible packing: placed ")
+
+    @pytest.mark.parametrize("sep", [0.0, -3.0])
+    def test_non_positive_separation_accepts_every_candidate(self, sep):
+        got = sample_separated(50, 20, 20, sep, margin=1.0, seed=4, max_attempts_per_point=1)
+        want = _reference_sample_separated(50, 20, 20, 0.0, margin=1.0, seed=4,
+                                           max_attempts_per_point=1)
+        assert got.coords.tobytes() == want.coords.tobytes()
+
+    def test_nan_separation_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            sample_separated(3, 20, 20, math.nan)
+
+    def test_4000_points_quickly(self):
+        # The quadratic scan took about 2 s here; the grid takes about 0.05 s.
+        t0 = time.perf_counter()
+        pts = sample_separated(4000, 2000, 2000, 5.0, seed=1)
+        assert time.perf_counter() - t0 < 0.5
+        assert len(pts) == 4000
