@@ -54,7 +54,7 @@ def as_cost_matrix(values) -> np.ndarray:
     cost = np.asarray(values, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D, got shape {cost.shape}")
-    if cost.size and not np.all(np.isfinite(cost)):
+    if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix entries must be finite")
     return cost
 
@@ -76,14 +76,12 @@ def hungarian_solve(cost) -> Assignment:
     """
     cost = as_cost_matrix(cost)
     n, m = cost.shape
-    if n == 0 or m == 0:
-        return Assignment(pairs=(), total_cost=0.0)
     if n > m:
         transposed = hungarian_solve(np.ascontiguousarray(cost.T))
         pairs = sorted((r, c) for c, r in transposed.pairs)
         return Assignment(pairs=tuple(pairs), total_cost=transposed.total_cost)
 
-    u = cost.min(axis=1)                    # row potentials
+    u = cost.min(axis=1, initial=np.inf)    # row potentials
     v = np.zeros(m)                         # column potentials
     row_of = np.full(m, -1, dtype=np.int64)  # row holding each column, -1 if free
     col_of = [-1] * n                       # column held by each row
@@ -148,9 +146,7 @@ def max_weight_matching(pi: np.ndarray, gj: np.ndarray, w: np.ndarray,
     row_of = [-1] * (m + n)       # row holding each column, -1 if free
     col_of = [-1] * n             # column held by each row
     for cur in range(n):
-        if start[cur] == start[cur + 1]:
-            continue              # no edge: the row keeps its private column
-        u[cur] = min(cost[start[cur]:start[cur + 1]])
+        u[cur] = min(cost[start[cur]:start[cur + 1]] + [0.0])  # the private column costs 0
         dist: dict[int, float] = {}
         via: dict[int, int] = {}  # row whose edge last lowered dist[j]
         done: dict[int, float] = {}   # settled columns, in settling order

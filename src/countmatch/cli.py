@@ -20,6 +20,7 @@ import re
 import sys
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -41,17 +42,21 @@ _COORD_LINE = re.compile(r"^(\d+) (\d+)$")
 def parse_coord_file(path, label: PointLabel = PointLabel.UNLABELED) -> PointSet:
     """Read a coordinate TXT file. An empty file is an empty set."""
     pts = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.rstrip("\n")
-            m = _COORD_LINE.match(stripped)
-            if not m:
-                raise ValueError(f"{path}:{lineno}: malformed coordinate line: {stripped!r}")
-            try:
-                pts.append((float(int(m.group(1))), float(int(m.group(2)))))
-            except OverflowError:
-                raise ValueError(f"{path}:{lineno}: coordinate out of float range "
-                                 "(about 1.8e308)") from None
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # at LF, CRLF and CR, as text mode splits
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("ascii")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}:{lineno}: not ASCII text") from None
+        m = _COORD_LINE.match(line)
+        if not m:
+            raise ValueError(f"{path}:{lineno}: malformed coordinate line: {line!r}")
+        try:
+            pts.append((float(int(m.group(1))), float(int(m.group(2)))))
+        except OverflowError:
+            raise ValueError(f"{path}:{lineno}: coordinate out of float range "
+                             "(about 1.8e308)") from None
     return PointSet(pts, label=label)
 
 
@@ -64,7 +69,7 @@ def serialize_coord_file(points: PointSet, path, quantize: bool = False) -> None
     """
     lines = []
     rounded_any = False
-    for x, y in points.coords:
+    for x, y in points.coords.tolist():
         rx, ry = _round_half_away(x), _round_half_away(y)
         if rx != x or ry != y:
             rounded_any = True
@@ -79,7 +84,9 @@ def serialize_coord_file(points: PointSet, path, quantize: bool = False) -> None
 
 
 def _round_half_away(value: float) -> int:
-    return int(math.floor(abs(value) + 0.5)) * (1 if value >= 0 else -1)
+    # |value| - floor(|value|) is exact; |value| + 0.5 rounds above 2**52.
+    whole = math.floor(abs(value))
+    return (whole + (abs(value) - whole >= 0.5)) * (1 if value >= 0 else -1)
 
 
 def _fmt(x: float) -> str:
@@ -339,15 +346,12 @@ def run_gradcheck(trials: int, size: int, epsilon: float, seed: int = 0):
         k = synthesize_kernel(params, size).values
         grads = kernel_gradients(params, size).as_dict()
         mask = np.abs(k) > 1e-12
-        base = {"sigma": params.sigma, "dx": params.dx, "dy": params.dy,
-                "sx": params.sx, "sy": params.sy}
         for name, analytic in grads.items():
-            hi = dict(base)
-            lo = dict(base)
-            hi[name] += epsilon
-            lo[name] -= epsilon
-            fd = (synthesize_kernel(KernelParams(**hi), size).values
-                  - synthesize_kernel(KernelParams(**lo), size).values) / (2.0 * epsilon)
+            at = getattr(params, name)
+            hi = replace(params, **{name: at + epsilon})
+            lo = replace(params, **{name: at - epsilon})
+            fd = (synthesize_kernel(hi, size).values
+                  - synthesize_kernel(lo, size).values) / (2.0 * epsilon)
             denom = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-12)
             rel = np.abs(analytic - fd) / denom
             err = float(rel[mask].max()) if mask.any() else 0.0
@@ -373,15 +377,15 @@ def cmd_synth(args) -> int:
         profile=synth.DensityProfile(args.profile),
         spacing_dense=args.spacing_dense, spacing_sparse=args.spacing_sparse,
         jitter=args.jitter, seed=args.seed)
+    # Every output is built, and the density map (which save_binary may
+    # reject) written, before the point files: a data error writes nothing.
     scene = synth.sample_points(cfg)
-    serialize_coord_file(scene, args.out, quantize=True)
-    print(f"wrote {len(scene)} points to {args.out}")
+    point_files = [(scene, args.out, "points")]
     if args.perturb_out:
         pred = synth.perturb_points(scene, drop_rate=args.drop, spurious_rate=args.spurious,
                                     noise_sigma=args.noise, seed=args.seed + 1,
                                     bounds=(args.width, args.height))
-        serialize_coord_file(pred, args.perturb_out, quantize=True)
-        print(f"wrote {len(pred)} perturbed points to {args.perturb_out}")
+        point_files.append((pred, args.perturb_out, "perturbed points"))
     if args.density_out:
         dmap = densitymap.render_density(scene, sigma=args.render_sigma,
                                          height=args.height, width=args.width)
@@ -389,6 +393,10 @@ def cmd_synth(args) -> int:
             densitymap.save_csv(dmap, args.density_out)
         else:
             densitymap.save_binary(dmap, args.density_out)
+    for points, path, what in point_files:
+        serialize_coord_file(points, path, quantize=True)
+        print(f"wrote {len(points)} {what} to {path}")
+    if args.density_out:
         print(f"wrote density map to {args.density_out}")
     return EXIT_OK
 

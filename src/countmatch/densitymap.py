@@ -26,7 +26,10 @@ Maps serialize either as row-major CSV or as a compact binary grid:
     bytes 10-13 width, uint32 little-endian
     bytes 14-   height * width float32 little-endian, row-major
 
-float64 maps are rounded to float32 by the binary format.
+float64 maps are rounded to float32 by the binary format. A value above
+the float32 maximum (about 3.4e38) would be stored as inf, which
+:func:`load_binary` rejects, so :func:`save_binary` raises ValueError
+for it before it opens the file.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class DensityMap:
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"density map must be 2-D, got shape {arr.shape}")
-        if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):
+        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
             raise ValueError("density map values must be finite and non-negative")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -90,12 +93,11 @@ def render_density(points: PointSet, sigma: float, height: int, width: int) -> D
     if height < 1 or width < 1:
         raise ValueError("map dimensions must be positive")
     coords = points.coords
-    if len(points):
-        oob = np.nonzero(
-            (coords[:, 0] < 0) | (coords[:, 0] >= width)
-            | (coords[:, 1] < 0) | (coords[:, 1] >= height))[0]
-        if oob.size:
-            raise ValueError(f"points out of bounds at indices {oob.tolist()}")
+    oob = np.nonzero(
+        (coords[:, 0] < 0) | (coords[:, 0] >= width)
+        | (coords[:, 1] < 0) | (coords[:, 1] >= height))[0]
+    if oob.size:
+        raise ValueError(f"points out of bounds at indices {oob.tolist()}")
     values = np.zeros((height, width))
     window = int(math.ceil(RENDER_WINDOW_SIGMAS * sigma))
     norm = 1.0 / (2.0 * math.pi * sigma * sigma)
@@ -126,7 +128,7 @@ def render_density(points: PointSet, sigma: float, height: int, width: int) -> D
 
 def default_threshold(dmap: DensityMap) -> float:
     """Half the map maximum; the decoding default when nothing better is known."""
-    return 0.5 * float(dmap.values.max()) if dmap.values.size else 0.0
+    return 0.5 * float(dmap.values.max(initial=0.0))
 
 
 _NEIGHBOR_OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
@@ -271,6 +273,9 @@ def load_csv(path) -> DensityMap:
 
 def save_binary(dmap: DensityMap, path) -> None:
     """Compact binary format; see the module docstring for the layout."""
+    if dmap.values.max(initial=0.0) > np.finfo(np.float32).max:
+        raise ValueError("density map values above the float32 maximum (about 3.4e38) "
+                         "cannot be stored in the binary format")
     header = BINARY_MAGIC + struct.pack("<II", dmap.height, dmap.width)
     data = dmap.values.astype("<f4").tobytes()
     with open(path, "wb") as fh:

@@ -29,7 +29,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .kernels import _validate_size, logistic, squash_offset, squash_sigma
+from .kernels import (_gaussian_factors, _offset_coefficient, _validate_size, logistic,
+                      squash_offset, squash_sigma)
 
 
 @dataclass(frozen=True)
@@ -129,20 +130,7 @@ def _coefficient_grids(field: ParamField):
     sigma = squash_sigma(field.raws[0])
     dx = squash_offset(field.raws[1])
     dy = squash_offset(field.raws[2])
-    sigma_x = field.sx * sigma
-    sigma_y = field.sy * sigma
-    norm = 1.0 / (2.0 * math.pi * sigma_x * sigma_y)
-    return dx, dy, 2.0 * sigma_x ** 2, 2.0 * sigma_y ** 2, norm
-
-
-def _offset_coefficient(norm: np.ndarray, x_term: np.ndarray, y_term: np.ndarray) -> np.ndarray:
-    """Coefficient grid of one kernel offset (u, v) at every pixel.
-
-    ``x_term = -((u - dx) ** 2) / sx2`` and ``y_term = ((v - dy) ** 2) / sy2``,
-    so this is the exact expression the kernel module evaluates and an
-    impulse reproduces a synthesized kernel bit for bit.
-    """
-    return norm * np.exp(x_term - y_term)
+    return (dx, dy) + _gaussian_factors(field.sx * sigma, field.sy * sigma)
 
 
 def _ring(r: int) -> list[tuple[int, int]]:

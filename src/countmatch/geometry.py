@@ -92,7 +92,7 @@ class PointSet:
         return ps
 
     def _freeze(self, coords: np.ndarray, label: PointLabel) -> None:
-        if coords.size and not np.all(np.isfinite(coords)):
+        if not np.all(np.isfinite(coords)):
             bad = np.nonzero(~np.isfinite(coords).all(axis=1))[0].tolist()
             raise ValueError(f"non-finite coordinates at indices {bad}")
         coords.setflags(write=False)
@@ -143,7 +143,7 @@ class RadiusProfile:
         object.__setattr__(self, "radii", radii)
         if self.k < 1:
             raise ValueError("invalid k")
-        if radii.size and (not np.all(np.isfinite(radii)) or np.any(radii < 0)):
+        if not np.all(np.isfinite(radii)) or np.any(radii < 0):
             raise ValueError("radii must be finite and non-negative")
 
     def __len__(self) -> int:
@@ -390,8 +390,6 @@ def require_finite_distances(distances) -> None:
 
 def pairwise_distances(a: PointSet, b: PointSet) -> np.ndarray:
     """Dense (len(a), len(b)) Euclidean distance matrix."""
-    if len(a) == 0 or len(b) == 0:
-        return np.zeros((len(a), len(b)), dtype=np.float64)
     return _distances(a.coords[:, None, :], b.coords[None, :, :])
 
 
@@ -410,7 +408,7 @@ def pairs_within(queries: PointSet, targets: PointSet,
     n, m = len(queries), len(targets)
     if radii.shape != (n,):
         raise ValueError(f"radius count {radii.shape} does not match queries {n}")
-    if n and not (np.all(np.isfinite(radii)) and radii.min() >= 0):
+    if not np.all(np.isfinite(radii)) or np.any(radii < 0):
         raise ValueError("radii must be finite and non-negative")
     parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
               np.empty(0, dtype=np.float64))]

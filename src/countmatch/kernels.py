@@ -35,11 +35,8 @@ OFFSET_LIMIT = 2.0
 def logistic(x):
     """Numerically stable standard logistic, elementwise on arrays."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     if out.ndim == 0:
         return float(out)
     return out
@@ -162,6 +159,18 @@ def _offset_grids(size: int) -> tuple[np.ndarray, np.ndarray]:
     return offs[None, :], offs[:, None]  # u along columns, v along rows
 
 
+def _gaussian_factors(sigma_x, sigma_y):
+    """(sx2, sy2, norm) = (2 sigma_x^2, 2 sigma_y^2, 1 / (2 pi sigma_x sigma_y))."""
+    return 2.0 * sigma_x ** 2, 2.0 * sigma_y ** 2, 1.0 / (2.0 * math.pi * sigma_x * sigma_y)
+
+
+def _offset_coefficient(norm, x_term, y_term):
+    """The kernel formula, with ``x_term = -((u - dx) ** 2) / sx2`` and
+    ``y_term = ((v - dy) ** 2) / sy2``. The dynamic convolution calls it
+    too, so an impulse reproduces a synthesized kernel bit for bit."""
+    return norm * np.exp(x_term - y_term)
+
+
 def synthesize_kernel(params: KernelParams, size: int, renormalize: bool = False) -> Kernel:
     """Evaluate the kernel formula on a size x size grid of integer offsets.
 
@@ -172,10 +181,9 @@ def synthesize_kernel(params: KernelParams, size: int, renormalize: bool = False
     """
     size = _validate_size(size)
     u, v = _offset_grids(size)
-    sx2 = 2.0 * params.sigma_x ** 2
-    sy2 = 2.0 * params.sigma_y ** 2
-    norm = 1.0 / (2.0 * math.pi * params.sigma_x * params.sigma_y)
-    values = norm * np.exp(-((u - params.dx) ** 2) / sx2 - ((v - params.dy) ** 2) / sy2)
+    sx2, sy2, norm = _gaussian_factors(params.sigma_x, params.sigma_y)
+    values = _offset_coefficient(norm, -((u - params.dx) ** 2) / sx2,
+                                 ((v - params.dy) ** 2) / sy2)
     if renormalize:
         values = values / values.sum()
     return Kernel(values=values, params=params, renormalized=renormalize)

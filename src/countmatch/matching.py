@@ -164,17 +164,13 @@ def build_weight_matrix(pred: PointSet, gt: PointSet, radii: RadiusProfile,
         raise ValueError(
             f"radius profile length {len(radii)} does not match predictions {len(pred)}")
     d = pairwise_distances(pred, gt)
-    n, m = d.shape
-    if n == 0 or m == 0:
-        empty = np.zeros((n, m))
-        return WeightMatrix(values=empty, in_radius=empty.astype(bool), distances=d)
     rad = radii.radii[:, None]
     values = _gaussian(d, _sigma(rad, cfg))
     in_radius = (d <= rad) & (values > 0.0)
     if cfg.out_of_radius is OutOfRadiusMode.FORBID:
         values = np.where(in_radius, values, 0.0)
     else:
-        d_max = float(d.max())
+        d_max = float(d.max(initial=0.0))
         require_finite_distances(d_max)
         penalty = -d / d_max if d_max > 0 else np.zeros_like(d)
         values = np.where(in_radius, values, penalty)
@@ -206,8 +202,6 @@ def fixed_radius_match(pred: PointSet, gt: PointSet, radius: float,
     """
     if not (radius > 0 and math.isfinite(radius)):
         raise ValueError("radius must be positive and finite")
-    if len(pred) == 0 or len(gt) == 0:
-        return _all_unmatched(len(pred), len(gt))
     radii = RadiusProfile(np.full(len(pred), float(radius)), cfg.k)
     return match_with_radii(pred, gt, radii, cfg)
 
@@ -220,8 +214,6 @@ def match_with_radii(pred: PointSet, gt: PointSet, radii: RadiusProfile,
     under LINEAR_PENALTY the dense weight matrix is solved in one piece.
     """
     n, m = len(pred), len(gt)
-    if n == 0 or m == 0:
-        return _all_unmatched(n, m)
     if len(radii) != n:
         raise ValueError(f"radius profile length {len(radii)} does not match predictions {n}")
     if cfg.out_of_radius is OutOfRadiusMode.LINEAR_PENALTY:

@@ -121,8 +121,8 @@ class SceneConfig:
             raise ValueError("n_points must be non-negative")
         if not (self.jitter >= 0 and math.isfinite(self.jitter)):
             raise ValueError("jitter must be non-negative and finite")
-        if self.spacing_dense <= 0 or self.spacing_sparse <= 0:
-            raise ValueError("spacings must be positive")
+        if not all(s > 0 and math.isfinite(s) for s in (self.spacing_dense, self.spacing_sparse)):
+            raise ValueError("spacings must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from countmatch import cli
 from countmatch.geometry import PointSet
 from countmatch.matching import MatchConfig, match_points
+from countmatch.synth import DensityProfile
 
 
 def write(path, text):
@@ -140,6 +143,44 @@ class TestMatchCommand:
         cli.main(["match", pred, gt, "--out", str(out1)])
         cli.main(["match", pred, gt, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestCoordFileBytes:
+    def test_non_ascii_line_is_named(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"1 2\n3 4\n5 \xff6\n")
+        with pytest.raises(ValueError, match=r"^.*bad\.txt:3: not ASCII text$"):
+            cli.parse_coord_file(str(path))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["match", "eval"])
+    def test_non_ascii_line_exits_two_with_one_line(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"1 2\n3 4\n5 \xff6\n")
+        good = write(tmp_path / "good.txt", "1 2\n")
+        assert cli.main([command, good, str(bad)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith("bad.txt:3: not ASCII text")
+
+    # Every integer up to 2**53 is a float64; odd ones above 2**52 have
+    # no room for the half of half-away rounding.
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=200, deadline=None)
+    @given(points=st.lists(st.tuples(st.integers(0, 2 ** 53), st.integers(0, 2 ** 53)),
+                           max_size=30))
+    @example(points=[(2 ** 53 - 1, 2 ** 52 + 1), (2 ** 53, 0)])
+    def test_integer_round_trip_is_byte_identical(self, tmp_path_factory, points):
+        folder = tmp_path_factory.mktemp("txt")
+        text = "".join(f"{x} {y}\n" for x, y in points)
+        src = write(folder / "in.txt", text)
+        cli.serialize_coord_file(cli.parse_coord_file(src), folder / "out.txt")
+        assert (folder / "out.txt").read_bytes() == text.encode("ascii")
+
+    def test_rounding_is_exact(self, tmp_path):
+        out = tmp_path / "out.txt"
+        points = PointSet([(0.49999999999999994, 2.5), (2.0 ** 70, 2 ** 53 - 1)])
+        cli.serialize_coord_file(points, out, quantize=True)
+        assert out.read_text() == f"0 3\n{2 ** 70} {2 ** 53 - 1}\n"
 
 
 class TestEvalCommand:
@@ -418,3 +459,32 @@ def test_cli_input_contract(tmp_path, capsys, argv, code):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert len(captured.err.splitlines()) == (0 if code == 0 else 1)
+
+
+def _synth_argv(folder, *flags):
+    return ["synth", "--n", "10", "--out", str(folder / "o.txt"),
+            *(f.format(dir=folder) for f in flags)]
+
+
+# Each data error is found before any file is written.
+_SYNTH_ERRORS = {
+    "render-sigma-inf": (["--render-sigma", "inf", "--density-out", "{dir}/m.csv"],
+                         "invalid sigma"),
+    "drop-2": (["--perturb-out", "{dir}/p.txt", "--drop", "2"], "drop_rate must lie in [0, 1]"),
+    "dmap-beyond-float32": (["--profile", "two_cluster", "--width", "64", "--height", "64",
+                             "--spacing-sparse", "12", "--render-sigma", "1e-20",
+                             "--density-out", "{dir}/m.dmap"], "float32 maximum"),
+    **{f"spacing-nan-{p.value}": (["--profile", p.value, "--spacing-dense", "nan"],
+                                  "spacings must be positive and finite")
+       for p in DensityProfile},
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags, message", _SYNTH_ERRORS.values(), ids=_SYNTH_ERRORS.keys())
+def test_synth_data_error_writes_nothing(tmp_path, capsys, flags, message):
+    assert cli.main(_synth_argv(tmp_path, *flags)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and message in captured.err
+    assert list(tmp_path.iterdir()) == []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from countmatch.densitymap import (
     DensityMap,
@@ -361,6 +362,18 @@ class TestSerialization:
             loaded.values, dm.values.astype(np.float32).astype(np.float64))
         assert (loaded.height, loaded.width) == (9, 14)
 
+    @pytest.mark.filterwarnings("error")
+    def test_binary_rejects_values_beyond_float32(self, tmp_path):
+        # Such a value would be cast to inf, which load_binary rejects.
+        top = float(np.finfo(np.float32).max)
+        path = tmp_path / "map.dmap"
+        for value in (np.nextafter(top, math.inf), 1e39, 1.7e308):
+            with pytest.raises(ValueError, match="float32 maximum"):
+                save_binary(DensityMap(np.array([[0.0, value], [1.0, 2.0]])), path)
+            assert not path.exists()
+        save_binary(DensityMap(np.array([[top]])), path)
+        assert load_binary(path).values[0, 0] == top
+
     def test_binary_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.dmap"
         path.write_bytes(b"not a density map")
@@ -374,6 +387,31 @@ class TestSerialization:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(ValueError, match="truncated"):
             load_binary(path)
+
+
+_SHAPES = st.tuples(st.integers(1, 6), st.integers(1, 6))
+
+
+@pytest.mark.filterwarnings("error")
+class TestRoundTrips:
+    @settings(max_examples=150, deadline=None)
+    @given(values=hnp.arrays(np.float32, _SHAPES, elements=st.floats(
+        min_value=0.0, width=32, allow_nan=False, allow_infinity=False)))
+    def test_binary_keeps_float32_values_exactly(self, tmp_path_factory, values):
+        dm = DensityMap(values.astype(np.float64))
+        path = tmp_path_factory.mktemp("dmap") / "map.dmap"
+        save_binary(dm, path)
+        assert load_binary(path).values.tobytes() == dm.values.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=hnp.arrays(np.float64, _SHAPES, elements=st.floats(
+        min_value=0.0, allow_nan=False, allow_infinity=False)))
+    def test_csv_keeps_float64_values_exactly(self, tmp_path_factory, values):
+        # %.17g digits identify every finite double, subnormals included.
+        dm = DensityMap(values)
+        path = tmp_path_factory.mktemp("csv") / "map.csv"
+        save_csv(dm, path)
+        assert load_csv(path).values.tobytes() == dm.values.tobytes()
 
 
 class TestDensityMapValidation:

@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from countmatch.kernels import (
     Kernel,
@@ -210,3 +213,54 @@ class TestKernelDataclass:
             k.values[0, 0] = 1.0
         assert isinstance(k, Kernel)
         assert k.size == 5
+
+
+def two_branch_logistic(x):
+    """Reference: the logistic evaluated separately for each sign, with
+    masked gathers and one exp per branch."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+# Signed zeros, infinities, the smallest subnormal and normal, the exp
+# underflow edge near 745 and the overflow edge near 709.78.
+_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                2.2250738585072014e-308, -2.2250738585072014e-308,
+                745.0, -745.0, 745.2, -745.2, 709.78, -709.78, 1e308, -1e308]
+_LOGISTIC_INPUTS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False))
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+@pytest.mark.filterwarnings("error")
+class TestLogisticBits:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_LOGISTIC_INPUTS, max_size=40))
+    @example(_EDGE_FLOATS)
+    def test_arrays_match_two_branch_reference(self, xs):
+        x = np.array(xs, dtype=np.float64)
+        assert logistic(x).tobytes() == two_branch_logistic(x).tobytes()
+        grid = np.resize(x, (4, len(xs)))
+        assert logistic(grid).tobytes() == two_branch_logistic(grid).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_LOGISTIC_INPUTS)
+    def test_zero_d_matches_two_branch_reference(self, x):
+        for arg in (x, np.float64(x), np.array(x)):
+            got = logistic(arg)
+            assert type(got) is float
+            assert _bits(got) == _bits(two_branch_logistic(arg))
+
+    def test_nan_stays_nan(self):
+        assert math.isnan(logistic(math.nan))
+        out = logistic(np.array([math.nan, 0.0, -math.nan]))
+        assert np.isnan(out[[0, 2]]).all() and out[1] == 0.5

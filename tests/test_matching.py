@@ -19,8 +19,10 @@ from countmatch.geometry import (
     all_radii,
     pairs_within,
 )
+from countmatch.densitymap import render_density
 from countmatch.matching import (
     MatchConfig,
+    MatchResult,
     OutOfRadiusMode,
     SigmaMode,
     brute_force_match,
@@ -590,3 +592,77 @@ class TestSparseMatchesDenseReference:
             assert wm.in_radius[p.pred_index, p.gt_index]
             assert p.distance == wm.distances[p.pred_index, p.gt_index]
             assert p.weight == wm.values[p.pred_index, p.gt_index]
+
+
+_EMPTY_SHAPES = [(0, 3), (3, 0), (0, 0), (0, GRID_BACKEND_THRESHOLD)]
+
+
+@pytest.mark.filterwarnings("error")
+class TestEmptyInputs:
+    # An empty side runs the general path of every matcher; (0, 256)
+    # sends zero queries to the grid index.
+    @staticmethod
+    def _sets(n, m):
+        return (PointSet([(i, 0.5 * i) for i in range(n)]),
+                PointSet([(i + 0.25, i) for i in range(m)]))
+
+    @pytest.mark.parametrize("mode", list(OutOfRadiusMode))
+    @pytest.mark.parametrize("n, m", _EMPTY_SHAPES)
+    def test_every_matcher_leaves_everything_unmatched(self, n, m, mode):
+        pred, gt = self._sets(n, m)
+        cfg = MatchConfig(out_of_radius=mode)
+        radii = RadiusProfile(np.full(n, 2.0), k=cfg.k)
+        expected = MatchResult(pairs=(), unmatched_pred=tuple(range(n)),
+                               unmatched_gt=tuple(range(m)), total_weight=0.0)
+        assert match_points(pred, gt, cfg) == expected
+        assert fixed_radius_match(pred, gt, 2.0, cfg) == expected
+        assert match_with_radii(pred, gt, radii, cfg) == expected
+        assert brute_force_match(pred, gt, cfg) == expected
+        assert brute_force_match(pred, gt, cfg, radii=radii) == expected
+
+    @pytest.mark.parametrize("mode", list(OutOfRadiusMode))
+    @pytest.mark.parametrize("n, m", _EMPTY_SHAPES)
+    def test_weight_matrix_shapes(self, n, m, mode):
+        pred, gt = self._sets(n, m)
+        wm = build_weight_matrix(pred, gt, RadiusProfile(np.full(n, 2.0), k=1),
+                                 MatchConfig(out_of_radius=mode))
+        for arr in (wm.values, wm.in_radius, wm.distances):
+            assert arr.shape == (n, m)
+        assert wm.values.dtype == wm.distances.dtype == np.float64
+        assert wm.in_radius.dtype == bool
+
+    def test_render_density_of_no_points(self):
+        dm = render_density(PointSet([]), sigma=1.5, height=7, width=5)
+        assert dm.values.shape == (7, 5)
+        assert dm.values.sum() == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+class TestRowsWithoutEdges:
+    def test_sparse_solve_takes_the_dense_pairs(self):
+        # Fixed radii of 0.5-2.5 px on integer points leave many
+        # predictions without any edge, before, between and after
+        # predictions with edges. The pairs must equal those of the dense
+        # private-column problem (as in TestTieRule) and the total that of
+        # the dense reference solve.
+        rng = np.random.default_rng(31)
+        mixed = 0
+        for _ in range(300):
+            n, m = (int(x) for x in rng.integers(1, 16, 2))
+            pred = PointSet(np.round(rng.uniform(0, 12, (n, 2))))
+            gt = PointSet(np.round(rng.uniform(0, 12, (m, 2))))
+            radii = RadiusProfile(rng.choice([0.5, 1.0, 1.5, 2.5], n), k=1)
+            wm = build_weight_matrix(pred, gt, radii, MatchConfig())
+            edgeless = ~wm.in_radius.any(axis=1)
+            mixed += bool(edgeless.any() and not edgeless.all())
+            result = match_with_radii(pred, gt, radii)
+            check_result_invariants(result, n, m)
+            cost = np.ones((n, m + n))
+            cost[:, :m][wm.in_radius] = -wm.values[wm.in_radius]
+            cost[np.arange(n), m + n - 1 - np.arange(n)] = 0.0
+            dense = [(i, j) for i, j in hungarian_solve(cost).pairs if j < m]
+            assert dense == [(p.pred_index, p.gt_index) for p in result.pairs]
+            ref = hungarian_solve(-wm.values)
+            assert result.total_weight == pytest.approx(-ref.total_cost, abs=1e-9)
+            assert set(np.flatnonzero(edgeless).tolist()) <= set(result.unmatched_pred)
+        assert mixed >= 100

@@ -148,6 +148,12 @@ class TestSamplePoints:
         with pytest.raises(ValueError):
             SceneConfig(width=10, height=10, n_points=1, spacing_dense=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["spacing_dense", "spacing_sparse"])
+    def test_spacings_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError, match="^spacings must be positive and finite$"):
+            SceneConfig(width=64, height=64, n_points=10, **{name: value})
+
 
 class TestPerturbPoints:
     def test_identity_when_disabled(self):
