@@ -39,16 +39,24 @@ EXIT_DATA = 2
 _COORD_LINE = re.compile(r"^(\d+) (\d+)$")
 
 
+def _text_lines(path, encoding: str):
+    """(lineno, line) for each line of ``path``, split at LF, CRLF and CR
+    as text mode splits. A line that does not decode raises ValueError
+    naming the path and line."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode(encoding)
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}:{lineno}: not {encoding.upper()} text") from None
+        yield lineno, line
+
+
 def parse_coord_file(path, label: PointLabel = PointLabel.UNLABELED) -> PointSet:
     """Read a coordinate TXT file. An empty file is an empty set."""
     pts = []
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()  # at LF, CRLF and CR, as text mode splits
-    for lineno, raw in enumerate(lines, start=1):
-        try:
-            line = raw.decode("ascii")
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}:{lineno}: not ASCII text") from None
+    for lineno, line in _text_lines(path, "ascii"):
         m = _COORD_LINE.match(line)
         if not m:
             raise ValueError(f"{path}:{lineno}: malformed coordinate line: {line!r}")
@@ -231,16 +239,14 @@ def _format_match_report(result) -> str:
 def _eval_pairs(args) -> list[tuple[str, str]]:
     pairs: list[tuple[str, str]] = []
     if args.manifest:
-        with open(args.manifest, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ValueError(
-                        f"{args.manifest}:{lineno}: manifest lines are pred_path<TAB>gt_path")
-                pairs.append((parts[0], parts[1]))
+        for lineno, line in _text_lines(args.manifest, "utf-8"):
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ValueError(
+                    f"{args.manifest}:{lineno}: manifest lines are pred_path<TAB>gt_path")
+            pairs.append((parts[0], parts[1]))
     if args.files:
         if len(args.files) % 2:
             raise ValueError("positional files must come in pred/gt pairs")
@@ -271,7 +277,8 @@ def cmd_eval(args) -> int:
         print("error: no readable file pairs", file=sys.stderr)
         return EXIT_DATA
     report = metrics.aggregate_report(results)
-
+    if args.report_out:   # before stdout, so a failed write prints nothing
+        Path(args.report_out).write_text(_format_eval_report(report), encoding="ascii")
     width = max(len("image"), *(len(im.image_id) for im in report.per_image))
     print(f"{'image':<{width}}  {'pred':>6}  {'gt':>6}  {'abs_err':>7}")
     for im in report.per_image:
@@ -282,8 +289,6 @@ def cmd_eval(args) -> int:
     print(f"mse_literal: {_fmt(report.mse_literal)}")
     print(f"precision: {_fmt(report.precision)}  recall: {_fmt(report.recall)}  "
           f"f1: {_fmt(report.f1)}")
-    if args.report_out:
-        Path(args.report_out).write_text(_format_eval_report(report), encoding="ascii")
     return EXIT_OK
 
 
@@ -309,12 +314,12 @@ def _write_grid_csv(path_or_stdout, grid: np.ndarray) -> None:
 
 
 def cmd_kernel(args) -> int:
+    if args.gradients and not args.out:
+        raise ValueError("--gradients needs --out to name the gradient files")
     params = KernelParams(sigma=args.sigma, dx=args.dx, dy=args.dy, sx=args.sx, sy=args.sy)
     kernel = synthesize_kernel(params, args.size, renormalize=args.renormalize)
     _write_grid_csv(args.out, kernel.values)
     if args.gradients:
-        if not args.out:
-            raise ValueError("--gradients needs --out to name the gradient files")
         grads = kernel_gradients(params, args.size)
         base = Path(args.out)
         for name, grid in grads.as_dict().items():
@@ -449,7 +454,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:   # a refused allocation is a data error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointLabel, PointSet, pairs_within
+from .geometry import _SCAN_BLOCK_CELLS, PointLabel, PointSet, pairs_within
 
 BINARY_MAGIC = b"DMAP1\x00"
 
@@ -51,14 +51,14 @@ RENDER_WINDOW_SIGMAS = 8.0
 
 @dataclass(frozen=True)
 class DensityMap:
-    """H x W grid of non-negative finite intensities."""
+    """H x W grid of non-negative finite intensities, H and W at least 1."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"density map must be 2-D, got shape {arr.shape}")
+        if arr.ndim != 2 or 0 in arr.shape:
+            raise ValueError(f"density map must be 2-D and non-empty, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0):
             raise ValueError("density map values must be finite and non-negative")
         arr.setflags(write=False)
@@ -86,7 +86,7 @@ def render_density(points: PointSet, sigma: float, height: int, width: int) -> D
     block, and the tiles are added into the map in point order. Each pixel
     therefore sums its terms in point order, so the output is the same bit
     for bit as adding one point's tile at a time. A block holds about
-    2**16 tile cells, so memory stays O(map + block).
+    ``geometry._SCAN_BLOCK_CELLS`` tile cells, so memory stays O(map + block).
     """
     if not (sigma > 0 and math.isfinite(sigma)):
         raise ValueError("invalid sigma")
@@ -110,8 +110,8 @@ def render_density(points: PointSet, sigma: float, height: int, width: int) -> D
     y1 = np.minimum(height - 1, np.floor(coords[:, 1] + window)).astype(np.intp) + 1
     span_x = np.arange(min(2 * window + 1, width))
     span_y = np.arange(min(2 * window + 1, height))
-    # About 2**16 tile cells (512 KiB) per block; one point when a tile is larger.
-    block = max(1, (1 << 16) // (len(span_x) * len(span_y)))
+    # One point per block when a tile is larger than the budget.
+    block = max(1, _SCAN_BLOCK_CELLS // (len(span_x) * len(span_y)))
     for start in range(0, len(coords), block):
         stop = start + block
         # The same exp/outer/multiply per element as one point at a time;
@@ -128,7 +128,7 @@ def render_density(points: PointSet, sigma: float, height: int, width: int) -> D
 
 def default_threshold(dmap: DensityMap) -> float:
     """Half the map maximum; the decoding default when nothing better is known."""
-    return 0.5 * float(dmap.values.max(initial=0.0))
+    return 0.5 * float(dmap.values.max())
 
 
 _NEIGHBOR_OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
@@ -191,9 +191,6 @@ def extract_peaks(dmap: DensityMap, threshold: float, min_distance: float = 1.0)
         raise ValueError("min_distance must be finite and >= 1")
     vals = dmap.values
     h, w = vals.shape
-    if h == 0 or w == 0:
-        return PointSet([], label=PointLabel.PREDICTED)
-
     flat = vals.ravel()
     above = vals >= threshold
     lowest = vals.min()
@@ -267,13 +264,16 @@ def save_csv(dmap: DensityMap, path) -> None:
 
 
 def load_csv(path) -> DensityMap:
-    values = np.loadtxt(path, delimiter=",", ndmin=2)
-    return DensityMap(values)
+    with open(path) as fh:   # the lines np.loadtxt reads: not blank, not a comment
+        rows = [line for line in fh if line.split("#", 1)[0].strip()]
+    if not rows:
+        raise ValueError(f"{path}: no density-map values")
+    return DensityMap(np.loadtxt(rows, delimiter=",", ndmin=2))
 
 
 def save_binary(dmap: DensityMap, path) -> None:
     """Compact binary format; see the module docstring for the layout."""
-    if dmap.values.max(initial=0.0) > np.finfo(np.float32).max:
+    if dmap.values.max() > np.finfo(np.float32).max:
         raise ValueError("density map values above the float32 maximum (about 3.4e38) "
                          "cannot be stored in the binary format")
     header = BINARY_MAGIC + struct.pack("<II", dmap.height, dmap.width)

@@ -125,14 +125,6 @@ def predict_params(feature: FeatureMap, weights: np.ndarray,
     return ParamField(raws=raws, sx=sx, sy=sy)
 
 
-def _coefficient_grids(field: ParamField):
-    """Squashed per-pixel Gaussian factors shared by all kernel offsets."""
-    sigma = squash_sigma(field.raws[0])
-    dx = squash_offset(field.raws[1])
-    dy = squash_offset(field.raws[2])
-    return (dx, dy) + _gaussian_factors(field.sx * sigma, field.sy * sigma)
-
-
 def _ring(r: int) -> list[tuple[int, int]]:
     """Offsets (u, v) with max(|u|, |v|) = r, in row-major order."""
     return [(u, v) for v in range(-r, r + 1)
@@ -154,7 +146,10 @@ def _gaussian_pass(feature: FeatureMap, field: ParamField, halves: set[int],
             f"feature is {feature.height}x{feature.width}")
     c, h, w = feature.values.shape
     top = max(halves)
-    dx, dy, sx2, sy2, norm = _coefficient_grids(field)
+    # Squashed per-pixel Gaussian factors, shared by all kernel offsets.
+    sigma = squash_sigma(field.raws[0])
+    dx, dy = squash_offset(field.raws[1]), squash_offset(field.raws[2])
+    sx2, sy2, norm = _gaussian_factors(field.sx * sigma, field.sy * sigma)
     padded = np.pad(feature.values, ((0, 0), (top, top), (top, top)))
     x_terms = {u: -((u - dx) ** 2) / sx2 for u in range(-top, top + 1)}
     y_terms = {v: ((v - dy) ** 2) / sy2 for v in range(-top, top + 1)}

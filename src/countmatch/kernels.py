@@ -203,9 +203,8 @@ def kernel_gradients(params: KernelParams, size: int) -> KernelGradients:
     The sigma/scale forms follow from sigma_x = sx * sigma and
     sigma_y = sy * sigma by the chain rule.
     """
-    size = _validate_size(size)
-    u, v = _offset_grids(size)
     k = synthesize_kernel(params, size).values
+    u, v = _offset_grids(k.shape[0])
     ax = (u - params.dx) / params.sigma_x
     by = (v - params.dy) / params.sigma_y
     ax2 = ax * ax

@@ -42,6 +42,7 @@ import numpy as np
 
 from .assignment import hungarian_solve, max_weight_matching
 from .geometry import (
+    _SCAN_BLOCK_CELLS,
     DEFAULT_K,
     DEFAULT_RADIUS_FLOOR,
     PointSet,
@@ -235,6 +236,8 @@ def brute_force_match(pred: PointSet, gt: PointSet, cfg: MatchConfig = MatchConf
     larger one, scores each with the same weight matrix the solver sees,
     and keeps the first maximizer in lexicographic enumeration order.
     Stripping of out-of-radius pairs is identical to the solver path.
+    Mappings are scored in chunks of about ``geometry._SCAN_BLOCK_CELLS``
+    entries, so memory stays bounded whatever the count.
     """
     n, m = len(pred), len(gt)
     # The first test only keeps the product math.perm takes short.
@@ -249,10 +252,17 @@ def brute_force_match(pred: PointSet, gt: PointSet, cfg: MatchConfig = MatchConf
     # Rows of ``side`` are the smaller side's points.
     side = wm.values if n <= m else wm.values.T
     small, large = side.shape
-    perms = np.array(list(itertools.permutations(range(large), small)), dtype=np.int64)
-    totals = side[np.arange(small)[None, :], perms].sum(axis=1)
-    pairs = np.column_stack((np.arange(small), perms[int(np.argmax(totals))]))
-    return _assemble_solved(wm, pairs if n <= m else pairs[:, ::-1])
+    mappings = itertools.permutations(range(large), small)
+    best, best_total = None, -math.inf
+    # Within a chunk argmax takes the first maximizer; a later chunk must beat it.
+    while chunk := list(itertools.islice(mappings, _SCAN_BLOCK_CELLS // small)):
+        perms = np.array(chunk, dtype=np.int64)
+        totals = side[np.arange(small)[None, :], perms].sum(axis=1)
+        k = int(np.argmax(totals))
+        if totals[k] > best_total:
+            best, best_total = perms[k], totals[k]
+    pairs = np.column_stack((np.arange(small), best))
+    return _assemble_solved(wm, pairs if n <= m else pairs[np.argsort(best), ::-1])
 
 
 def _all_unmatched(n: int, m: int) -> MatchResult:
@@ -294,9 +304,8 @@ def _assemble_solved(wm: WeightMatrix, solver_pairs) -> MatchResult:
 
 def _assemble(pi: np.ndarray, gj: np.ndarray, dist: np.ndarray, weight: np.ndarray,
               n: int, m: int) -> MatchResult:
-    """Result from the kept pairs, given as parallel arrays in any order."""
-    order = np.argsort(pi, kind="stable")
-    pi, gj, dist, weight = pi[order], gj[order], dist[order], weight[order]
+    """Result from the kept pairs, given as parallel arrays in ascending
+    ``pi`` order, the order every solver returns them in."""
     matched_pred = np.zeros(n, dtype=bool)
     matched_pred[pi] = True
     matched_gt = np.zeros(m, dtype=bool)

@@ -424,6 +424,9 @@ def _contract_files(tmp_path):
     paths["manifest"] = tmp_path / "manifest.tsv"
     paths["manifest"].write_text(f"{paths['good']}\t{paths['good']}\n"
                                  f"{tmp_path / 'missing.txt'}\t{paths['good']}\n")
+    paths["manifest_non_utf8"] = tmp_path / "non_utf8.tsv"
+    paths["manifest_non_utf8"].write_bytes(f"{paths['good']}\t{paths['good']}\n".encode()
+                                           + b"\xff\tgood.txt\n")
     paths["out"] = tmp_path / "out.txt"
     return {k: str(v) for k, v in paths.items()}
 
@@ -446,6 +449,10 @@ _CONTRACT_CASES = {
     "noise-nan": (_SYNTH + ["--noise", "nan"], 2),
     "spurious-inf": (_SYNTH + ["--spurious", "inf"], 2),
     "epsilon-0": (["gradcheck", "--trials", "1", "--epsilon", "0"], 2),
+    "manifest-non-utf8": (["eval", "--manifest", "{manifest_non_utf8}"], 2),
+    # Refused allocations of 29 TiB: a MemoryError is a data error.
+    "kernel-size-alloc": (["kernel", "--size", "2000001"], 2),
+    "gradcheck-size-alloc": (["gradcheck", "--size", "2000001", "--trials", "1"], 2),
 }
 
 
@@ -477,6 +484,9 @@ _SYNTH_ERRORS = {
     **{f"spacing-nan-{p.value}": (["--profile", p.value, "--spacing-dense", "nan"],
                                   "spacings must be positive and finite")
        for p in DensityProfile},
+    # A 1e8 x 1e8 map is a refused allocation of 71 PiB.
+    "density-alloc": (["--width", "100000000", "--height", "100000000",
+                       "--density-out", "{dir}/m.dmap"], "Unable to allocate"),
 }
 
 
@@ -488,3 +498,17 @@ def test_synth_data_error_writes_nothing(tmp_path, capsys, flags, message):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and message in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    (["kernel", "--gradients"], "--gradients needs --out"),
+    (["eval", "{good}", "{good}", "--report-out", "{missing_dir}/r.txt"], "nodir"),
+])
+def test_failing_command_prints_nothing(tmp_path, capsys, argv, message):
+    paths = {"good": write(tmp_path / "good.txt", "1 1\n5 5\n"),
+             "missing_dir": str(tmp_path / "nodir")}
+    assert cli.main([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and message in captured.err

@@ -422,3 +422,39 @@ class TestDensityMapValidation:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             DensityMap(np.array([[np.nan]]))
+
+
+@pytest.mark.filterwarnings("error")
+class TestMapsHaveAPixel:
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_zero_dimension_rejected(self, shape):
+        with pytest.raises(ValueError, match="must be 2-D"):
+            DensityMap(np.zeros(shape))
+
+    @pytest.mark.parametrize("text", ["", "\n", "\n\n\n", " \t\n", "# no values\n"])
+    def test_csv_without_values(self, tmp_path, text):
+        # What save_csv wrote for the (0, 3) and (3, 0) maps DensityMap
+        # used to accept: np.loadtxt warned and returned shape (0, 1).
+        path = tmp_path / "map.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="no density-map values") as exc:
+            load_csv(path)
+        assert str(path) in str(exc.value)
+
+    def test_csv_skips_blank_and_comment_lines(self, tmp_path):
+        path = tmp_path / "map.csv"
+        path.write_text("# header\n\n1,2\n3,4  # tail\n")
+        assert load_csv(path).values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("height, width", [(0, 0), (0, 3), (3, 0)])
+    def test_binary_header_with_zero_dimension(self, tmp_path, height, width):
+        path = tmp_path / "map.dmap"
+        path.write_bytes(b"DMAP1\x00" + np.array([height, width], "<u4").tobytes())
+        with pytest.raises(ValueError, match="must be 2-D"):
+            load_binary(path)
+
+    def test_one_pixel_map_decodes(self):
+        dm = DensityMap(np.array([[0.5]]))
+        assert default_threshold(dm) == 0.25
+        assert extract_peaks(dm, 0.25).coords.tolist() == [[0.0, 0.0]]
+        assert extract_peaks(dm, 1.0).coords.shape == (0, 2)

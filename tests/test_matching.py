@@ -666,3 +666,105 @@ class TestRowsWithoutEdges:
             assert result.total_weight == pytest.approx(-ref.total_cost, abs=1e-9)
             assert set(np.flatnonzero(edgeless).tolist()) <= set(result.unmatched_pred)
         assert mixed >= 100
+
+
+def _whole_array_oracle(pred, gt, cfg=MatchConfig(), radii=None):
+    """The oracle as it was before chunked enumeration, kept verbatim:
+    every mapping in one array, one argmax."""
+    n, m = len(pred), len(gt)
+    if n == 0 or m == 0:
+        return matching._all_unmatched(n, m)
+    if radii is None:
+        radii = all_radii(pred, gt, cfg.k, cfg.radius_floor)
+    wm = build_weight_matrix(pred, gt, radii, cfg)
+    # Rows of ``side`` are the smaller side's points.
+    side = wm.values if n <= m else wm.values.T
+    small, large = side.shape
+    perms = np.array(list(itertools.permutations(range(large), small)), dtype=np.int64)
+    totals = side[np.arange(small)[None, :], perms].sum(axis=1)
+    pairs = np.column_stack((np.arange(small), perms[int(np.argmax(totals))]))
+    return matching._assemble_solved(wm, pairs if n <= m else pairs[:, ::-1])
+
+
+def _tied_instance(rng, n, m):
+    # Few integer sites, so distances, weights and totals tie exactly.
+    pred = PointSet(rng.integers(0, 4, (n, 2)).astype(np.float64))
+    gt = PointSet(rng.integers(0, 4, (m, 2)).astype(np.float64))
+    return pred, gt
+
+
+_BOTH_MODES = [MatchConfig(), MatchConfig(out_of_radius=OutOfRadiusMode.LINEAR_PENALTY)]
+
+
+@pytest.mark.filterwarnings("error")
+class TestOracleEnumeration:
+    @staticmethod
+    def check_equal(pred, gt, cfg):
+        ref = _whole_array_oracle(pred, gt, cfg)
+        got = brute_force_match(pred, gt, cfg)
+        # The reference's n > m pairs come in gt order; the oracle sorts them.
+        assert got.pairs == tuple(sorted(ref.pairs))
+        assert got.unmatched_pred == ref.unmatched_pred
+        assert got.unmatched_gt == ref.unmatched_gt
+        assert got.total_weight == ref.total_weight
+
+    @pytest.mark.parametrize("budget", [10, 23, matching._SCAN_BLOCK_CELLS])
+    def test_chunks_keep_the_first_maximizer(self, monkeypatch, budget):
+        # Small budgets split even a few dozen mappings into many chunks,
+        # so ties between chunks are common.
+        monkeypatch.setattr(matching, "_SCAN_BLOCK_CELLS", budget)
+        rng = np.random.default_rng(budget)
+        shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 5), (5, 1)]
+        shapes += [tuple(int(x) for x in rng.integers(1, 6, 2)) for _ in range(60)]
+        for n, m in shapes:
+            pred, gt = _tied_instance(rng, n, m)
+            for cfg in _BOTH_MODES:
+                self.check_equal(pred, gt, cfg)
+
+    def test_real_budget_over_several_chunks(self):
+        # 4 x 18 is 73 440 mappings, 5 chunks of 16 384; coincident gt
+        # points make maximizers tie across chunks.
+        rng = np.random.default_rng(41)
+        for n, m in [(4, 18), (18, 4)]:
+            pred, gt = _tied_instance(rng, n, m)
+            assert matching._SCAN_BLOCK_CELLS // min(n, m) < math.perm(max(n, m), min(n, m))
+            self.check_equal(pred, gt, MatchConfig())
+
+    def test_memory_is_bounded(self):
+        # 181 440 mappings. Held at once they peak at about 33 MB traced
+        # (a 10 x 10 instance at about 790 MB RSS); in chunks, about 3 MB.
+        rng = np.random.default_rng(42)
+        pred = PointSet(rng.uniform(0, 20, (7, 2)))
+        gt = PointSet(rng.uniform(0, 20, (9, 2)))
+        tracemalloc.start()
+        try:
+            brute_force_match(pred, gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+
+@pytest.mark.filterwarnings("error")
+class TestPairOrder:
+    def test_every_matcher_returns_pairs_in_prediction_order(self):
+        # _assemble takes the solvers' order as it comes, so each matcher
+        # must hand over its pairs sorted by prediction.
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            n, m = (int(x) for x in rng.integers(1, 7, 2))
+            pred, gt = _tied_instance(rng, n, m)
+            radii = RadiusProfile(rng.choice([1.0, 2.0, 4.0], n), k=1)
+            for cfg in _BOTH_MODES:
+                for result in (match_points(pred, gt, cfg),
+                               brute_force_match(pred, gt, cfg),
+                               match_with_radii(pred, gt, radii, cfg),
+                               fixed_radius_match(pred, gt, 2.5, cfg)):
+                    order = [p.pred_index for p in result.pairs]
+                    assert order == sorted(order)
+
+    def test_oracle_with_more_predictions_than_gt(self):
+        pred = PointSet([(9.0, 0.0), (5.0, 0.0), (1.0, 0.0)])
+        gt = PointSet([(1.0, 0.0), (9.0, 0.0)])
+        result = brute_force_match(pred, gt)
+        assert [(p.pred_index, p.gt_index) for p in result.pairs] == [(0, 1), (2, 0)]
