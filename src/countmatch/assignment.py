@@ -7,19 +7,25 @@ of Crouse 2016 ("On implementing 2D rectangular assignment algorithms").
 columns with ``argmin``; :func:`max_weight_matching` reads rows as CSR
 edge lists and settles columns from a heap. Neither pads to a square.
 
-For an n x m problem with n <= m, the rows are augmented one at a time,
-in index order. A row's potential starts at its least cost and every
-column potential at 0, so every reduced cost starts non-negative.
-Dijkstra then grows raw path lengths from the row over the reduced
+For an n x m problem with n <= m, every row potential starts at the
+row's least cost and every column potential at 0, so every reduced cost
+starts non-negative. The greedy start of Jonker & Volgenant's LAPJV
+(1987) then gives each row its first least-cost column unless a lower
+row took it: those pairs have reduced cost 0, so the duals stay
+feasible. Only the rows left free are augmented, one at a time, in index
+order. Dijkstra grows raw path lengths from the row over the reduced
 costs until it settles a free column. Only then are the potentials of
 the settled columns and of the rows holding them updated, once, and the
-path is flipped back to the row. A dense solve costs O(n^2 m); wider
-than tall inputs are solved on the transpose.
+path is flipped back to the row. A dense solve costs O(n^2 m) at worst;
+wider than tall inputs are solved on the transpose.
 
-Tie rule: rows in index order, and among equal path lengths the lowest
-column is settled first (``np.argmin`` on a dense row, the heap key
-(length, column) on an edge list). Identical inputs therefore always
-give identical assignments.
+Tie rule: first the greedy pass, in which each row takes its first
+least-cost column (``np.argmin`` on a dense row; edge-list order, with
+the private column last, on an edge list) and the lowest row wins a
+contested column; then the free rows in index order, and among equal
+path lengths the lowest column is settled first (``np.argmin`` on a
+dense row, the heap key (length, column) on an edge list). Identical
+inputs therefore always give identical assignments.
 
 Both solvers minimize. Callers that want a maximum-weight matching
 negate their weights.
@@ -85,7 +91,11 @@ def hungarian_solve(cost) -> Assignment:
     v = np.zeros(m)                         # column potentials
     row_of = np.full(m, -1, dtype=np.int64)  # row holding each column, -1 if free
     col_of = [-1] * n                       # column held by each row
-    for cur in range(n):
+    for i in range(n):                      # greedy start: first least-cost column
+        j = int(np.argmin(cost[i]))
+        if row_of[j] < 0:
+            row_of[j], col_of[i] = i, j
+    for cur in [i for i in range(n) if col_of[i] < 0]:
         dist = np.full(m, np.inf)
         via = np.zeros(m, dtype=np.int64)   # row whose entry last lowered dist[j]
         open_v = v.copy()                   # v, with -inf on settled columns
@@ -131,7 +141,7 @@ def max_weight_matching(pi: np.ndarray, gj: np.ndarray, w: np.ndarray,
     points 0..m-1, then one private "unmatched" column per row:
     m + n - 1 - i for row i. An edge costs -w[e] and a private column 0,
     so the least cost is the largest weight. A row without edges keeps
-    its private column.
+    its private column, which the greedy start gives it.
 
     Under the module's tie rule a gt column comes before any private
     column, and a later row's private column before an earlier row's:
@@ -139,14 +149,28 @@ def max_weight_matching(pi: np.ndarray, gj: np.ndarray, w: np.ndarray,
     memory follow the edges that the augmenting paths touch, never the
     n x m product.
     """
-    start = np.searchsorted(pi, np.arange(n + 1)).tolist()
-    cols, cost = gj.tolist(), (-w).tolist()
-    u = [0.0] * n                 # row potentials
+    start = np.searchsorted(pi, np.arange(n + 1))
+    cost = -w
+    # Greedy start. A row's least cost counts its private column, which
+    # costs 0 and comes last, so a row with edges starts on its first
+    # least-cost edge and a row without edges on its private column.
+    edged = np.flatnonzero(start[1:] > start[:-1])
+    least = np.zeros(n)
+    least[edged] = np.minimum.reduceat(cost, start[edged])
+    at = np.flatnonzero(cost == least[pi])
+    first = at[np.unique(pi[at], return_index=True)[1]]
+    col = m + n - 1 - np.arange(n)
+    col[pi[first]] = gj[first]
+    win = np.unique(col, return_index=True)[1]   # the lowest row wins a contested column
+    row_of = np.full(m + n, -1)   # row holding each column, -1 if free
+    row_of[col[win]] = win
+    col_of = np.full(n, -1)       # column held by each row
+    col_of[win] = col[win]
+    start, cols, cost = start.tolist(), gj.tolist(), cost.tolist()
+    u = least.tolist()            # row potentials
     v = [0.0] * (m + n)           # column potentials
-    row_of = [-1] * (m + n)       # row holding each column, -1 if free
-    col_of = [-1] * n             # column held by each row
-    for cur in range(n):
-        u[cur] = min(cost[start[cur]:start[cur + 1]] + [0.0])  # the private column costs 0
+    row_of, col_of = row_of.tolist(), col_of.tolist()
+    for cur in [i for i in range(n) if col_of[i] < 0]:
         dist: dict[int, float] = {}
         via: dict[int, int] = {}  # row whose edge last lowered dist[j]
         done: dict[int, float] = {}   # settled columns, in settling order

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 import time
 import warnings
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -384,6 +386,8 @@ def cmd_synth(args) -> int:
         jitter=args.jitter, seed=args.seed)
     # Every output is built, and the density map (which save_binary may
     # reject) written, before the point files: a data error writes nothing.
+    # A failed write removes the files written before it, and nothing is
+    # announced until every file is written.
     scene = synth.sample_points(cfg)
     point_files = [(scene, args.out, "points")]
     if args.perturb_out:
@@ -391,15 +395,23 @@ def cmd_synth(args) -> int:
                                     noise_sigma=args.noise, seed=args.seed + 1,
                                     bounds=(args.width, args.height))
         point_files.append((pred, args.perturb_out, "perturbed points"))
+    writes = [(path, partial(serialize_coord_file, points, quantize=True))
+              for points, path, _ in point_files]
     if args.density_out:
         dmap = densitymap.render_density(scene, sigma=args.render_sigma,
                                          height=args.height, width=args.width)
-        if args.density_out.endswith(".csv"):
-            densitymap.save_csv(dmap, args.density_out)
-        else:
-            densitymap.save_binary(dmap, args.density_out)
+        save = densitymap.save_csv if args.density_out.endswith(".csv") else densitymap.save_binary
+        writes.insert(0, (args.density_out, partial(save, dmap)))
+    written = []
+    try:
+        for path, write in writes:
+            write(path)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            os.remove(path)
+        raise
     for points, path, what in point_files:
-        serialize_coord_file(points, path, quantize=True)
         print(f"wrote {len(points)} {what} to {path}")
     if args.density_out:
         print(f"wrote density map to {args.density_out}")

@@ -13,7 +13,9 @@ the same distances as a full scan, it only prunes the candidate set.
 The adaptive radius of a query point is the mean of its distances to the
 k nearest target points, clamped below by a configurable floor. It
 contracts where targets are dense and expands where they are sparse,
-which is what makes radius-restricted matching density-aware.
+which is what makes radius-restricted matching density-aware. The
+radius is at most the distance to the k-th nearest (or the floor), so
+the k-NN pass can also hand the matcher every target within it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -273,7 +275,7 @@ def knn_distances(query: PointLike, targets: PointSet, k: int) -> np.ndarray:
         ``min(k, len(targets))`` Euclidean distances in non-decreasing
         order. This is a prefix of the fully sorted distance list.
     """
-    return _knn(PointSet([query]).coords, targets, k)[0]
+    return _knn(PointSet([query]).coords, targets, k)[0][0]
 
 
 def adaptive_radius(p: PointLike, gt: PointSet, k: int = DEFAULT_K,
@@ -304,16 +306,24 @@ def _scan_blocks(queries: np.ndarray, targets: np.ndarray) -> Iterator[tuple[int
         yield s, _distances(queries[s:s + rows, None, :], targets[None, :, :])
 
 
-def _knn(queries: np.ndarray, targets: PointSet, k: int) -> np.ndarray:
-    """Row i: the ``min(k, len(targets))`` smallest distances from
-    ``queries[i]`` to ``targets``, in non-decreasing order.
+def _knn(queries: np.ndarray, targets: PointSet, k: int, floor: Optional[float] = None):
+    """Row i of ``nearest``: the ``min(k, len(targets))`` smallest
+    distances from ``queries[i]`` to ``targets``, in non-decreasing order.
 
     Below ``GRID_BACKEND_THRESHOLD`` targets the queries are scanned
     against every target in bounded blocks. At or above it each query
     asks the grid for a disc that starts at the distance to the cloud's
     bounding box plus two cells and doubles until it holds k targets; a
     disc holding k targets contains the k nearest, so the result is
-    exact. Memory is O(len(queries) * k + block).
+    exact. Memory is O(len(queries) * k + block + edges).
+
+    Returns ``(nearest, radii, edges)``. Given a ``floor``, ``radii`` are
+    the adaptive radii ``_radius(nearest, floor)`` and ``edges`` is what
+    :func:`pairs_within` returns for them, both from the same pass: a
+    radius is at most max(d_k, floor), so every pair within it lies in
+    the scanned block or in the disc that completed the row. Only rows
+    whose floor exceeds that disc go to :func:`pairs_within`. Without a
+    floor both are None.
     """
     if k < 1:
         raise ValueError("invalid k")
@@ -322,29 +332,53 @@ def _knn(queries: np.ndarray, targets: PointSet, k: int) -> np.ndarray:
         raise ValueError("no ground truth: target set is empty")
     kk = min(k, m)
     out = np.empty((len(queries), kk), dtype=np.float64)
+    radii = np.empty(len(queries), dtype=np.float64)
+    parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+              np.empty(0, dtype=np.float64))]
     if m < GRID_BACKEND_THRESHOLD:
         for s, d in _scan_blocks(queries, targets.coords):
-            out[s:s + len(d)] = np.sort(np.partition(d, kk - 1, axis=1)[:, :kk], axis=1)
-        return out
-    grid = targets._index()
-    # A start or doubled radius beyond the float range is inf: that disc
-    # holds the whole cloud.
-    radii = _distances(queries, np.clip(queries, grid.origin, grid.top)) + 2 * grid.cell
-    todo = np.arange(len(queries))
-    while todo.size:
-        short = [todo[:0]]
-        for chunk, qi, _, d in grid.within(queries[todo], radii[todo]):
-            counts = np.bincount(qi - chunk.start, minlength=chunk.stop - chunk.start)
-            d = d[np.lexsort((d, qi))]
-            full = counts >= kk
-            first = (np.cumsum(counts) - counts)[full]
-            rows = todo[chunk]
-            out[rows[full]] = d[first[:, None] + np.arange(kk)]
-            short.append(rows[~full])
-        todo = np.concatenate(short)
-        with np.errstate(over="ignore"):
-            radii[todo] *= 2
-    return out
+            out[s:s + len(d)] = nearest = np.sort(np.partition(d, kk - 1, axis=1)[:, :kk], axis=1)
+            if floor is not None:
+                radii[s:s + len(d)] = reach = _radius(nearest, floor)
+                qi, ti = np.nonzero(d <= reach[:, None])
+                parts.append((qi + s, ti, d[qi, ti]))
+    else:
+        grid = targets._index()
+        # A start or doubled radius beyond the float range is inf: that
+        # disc holds the whole cloud.
+        disc = _distances(queries, np.clip(queries, grid.origin, grid.top)) + 2 * grid.cell
+        todo = np.arange(len(queries))
+        wide = [todo[:0]]         # rows whose floor exceeds their final disc
+        while todo.size:
+            short = [todo[:0]]
+            for chunk, qi, ti, d in grid.within(queries[todo], disc[todo]):
+                qi = qi - chunk.start
+                counts = np.bincount(qi, minlength=chunk.stop - chunk.start)
+                ordered = d[np.lexsort((d, qi))]
+                full = counts >= kk
+                first = (np.cumsum(counts) - counts)[full]
+                rows = todo[chunk]
+                out[rows[full]] = nearest = ordered[first[:, None] + np.arange(kk)]
+                short.append(rows[~full])
+                if floor is not None:
+                    reach = np.full(len(rows), -1.0)   # a row not yet full has no edge
+                    radii[rows[full]] = reach[full] = _radius(nearest, floor)
+                    over = reach > disc[rows]
+                    wide.append(rows[over])
+                    keep = d <= np.where(over, -1.0, reach)[qi]
+                    parts.append((rows[qi[keep]], ti[keep], d[keep]))
+            todo = np.concatenate(short)
+            with np.errstate(over="ignore"):
+                disc[todo] *= 2
+        if floor is not None:
+            wide = np.concatenate(wide)
+            qi, ti, d = pairs_within(PointSet.from_coords(queries[wide]), targets, radii[wide])
+            parts.append((wide[qi], ti, d))
+    if floor is None:
+        return out, None, None
+    qi, ti, d = (np.concatenate(c) for c in zip(*parts))
+    order = np.argsort(qi * m + ti)   # each (query, target) pair occurs once
+    return out, radii, (qi[order], ti[order], d[order])
 
 
 def all_radii(pred: PointSet, gt: PointSet, k: int = DEFAULT_K,
@@ -357,7 +391,13 @@ def all_radii(pred: PointSet, gt: PointSet, k: int = DEFAULT_K,
     """
     if not (floor > 0 and math.isfinite(floor)):
         raise ValueError("radius floor must be positive and finite")
-    return RadiusProfile(np.maximum(_mean_distance(_knn(pred.coords, gt, k)), floor), k)
+    return RadiusProfile(_radius(_knn(pred.coords, gt, k)[0], floor), k)
+
+
+def _radius(nearest: np.ndarray, floor: float) -> np.ndarray:
+    """Adaptive radii from rows of sorted nearest distances: the row
+    mean, clamped below by ``floor``."""
+    return np.maximum(_mean_distance(nearest), floor)
 
 
 def _mean_distance(nearest: np.ndarray) -> np.ndarray:

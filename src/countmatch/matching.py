@@ -14,9 +14,14 @@ every returned weight lies in (0, 1].
 
 Under ``OutOfRadiusMode.FORBID`` (the default) a non-edge weighs 0 in
 the solve and is stripped afterwards, so only the edges matter. The
-matcher therefore never builds the dense n x m problem: it finds the
-edges with range queries (:func:`geometry.pairs_within`), weights only
-those, and solves one assignment over the edge list
+matcher therefore never builds the dense n x m problem. It takes the
+edges from the pass that finds each prediction's k nearest: a radius is
+at most max(d_k, floor), so every edge lies in the full-scan block or
+grid disc that set the radius, and only rows whose floor exceeds that
+disc ask :func:`geometry.pairs_within`. Matchers given their radii
+(:func:`match_with_radii`, :func:`fixed_radius_match`) find the edges
+with :func:`geometry.pairs_within`. Either way the matcher weights only
+the edges and solves one assignment over the edge list
 (:func:`assignment.max_weight_matching`), in which each prediction may
 stay unmatched at cost 0 against -weight for an edge. Time and memory
 follow the edges the augmenting paths touch, not the n x m cross
@@ -47,6 +52,7 @@ from .geometry import (
     DEFAULT_RADIUS_FLOOR,
     PointSet,
     RadiusProfile,
+    _knn,
     all_radii,
     pairs_within,
     pairwise_distances,
@@ -188,8 +194,10 @@ def match_points(pred: PointSet, gt: PointSet, cfg: MatchConfig = MatchConfig())
     """
     if len(pred) == 0 or len(gt) == 0:
         return _all_unmatched(len(pred), len(gt))
-    radii = all_radii(pred, gt, cfg.k, cfg.radius_floor)
-    return match_with_radii(pred, gt, radii, cfg)
+    if cfg.out_of_radius is OutOfRadiusMode.LINEAR_PENALTY:
+        return match_with_radii(pred, gt, all_radii(pred, gt, cfg.k, cfg.radius_floor), cfg)
+    _, radii, edges = _knn(pred.coords, gt, cfg.k, cfg.radius_floor)
+    return _solve_edges(*edges, radii, cfg, len(pred), len(gt))
 
 
 def fixed_radius_match(pred: PointSet, gt: PointSet, radius: float,
@@ -220,8 +228,14 @@ def match_with_radii(pred: PointSet, gt: PointSet, radii: RadiusProfile,
     if cfg.out_of_radius is OutOfRadiusMode.LINEAR_PENALTY:
         wm = build_weight_matrix(pred, gt, radii, cfg)
         return _assemble_solved(wm, hungarian_solve(-wm.values).pairs)
-    pi, gj, d = pairs_within(pred, gt, radii.radii)
-    w = _gaussian(d, _sigma(radii.radii[pi], cfg))
+    return _solve_edges(*pairs_within(pred, gt, radii.radii), radii.radii, cfg, n, m)
+
+
+def _solve_edges(pi: np.ndarray, gj: np.ndarray, d: np.ndarray, radii: np.ndarray,
+                 cfg: MatchConfig, n: int, m: int) -> MatchResult:
+    """FORBID: weights of the in-radius pairs (pi, gj, d), ordered by
+    prediction then gt, one sparse solve over the edges, and the result."""
+    w = _gaussian(d, _sigma(radii[pi], cfg))
     edge = w > 0.0
     pi, gj, d, w = pi[edge], gj[edge], d[edge], w[edge]
     keep = max_weight_matching(pi, gj, w, n, m)

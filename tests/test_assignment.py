@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from countmatch.assignment import as_cost_matrix, hungarian_solve
+from countmatch.assignment import as_cost_matrix, hungarian_solve, max_weight_matching
+from countmatch.geometry import PointSet, all_radii, pairs_within
+from countmatch.matching import MatchConfig, OutOfRadiusMode, build_weight_matrix
 
 
 def brute_force_min(cost):
@@ -20,6 +23,97 @@ def brute_force_min(cost):
         for perm in itertools.permutations(range(n), m):
             best = min(best, math.fsum(cost[perm[j], j] for j in range(m)))
     return best
+
+
+# Verbatim copies of the two solver loops as they were before the greedy
+# start: every row augmented by Dijkstra, in index order. The references
+# for the totals below.
+def all_rows_augmented_solve(cost):
+    """Pairs and fsum total of the minimum-cost assignment, n <= m."""
+    n, m = cost.shape
+    u = cost.min(axis=1, initial=np.inf)    # row potentials
+    v = np.zeros(m)                         # column potentials
+    row_of = np.full(m, -1, dtype=np.int64)  # row holding each column, -1 if free
+    col_of = [-1] * n                       # column held by each row
+    for cur in range(n):
+        dist = np.full(m, np.inf)
+        via = np.zeros(m, dtype=np.int64)   # row whose entry last lowered dist[j]
+        open_v = v.copy()                   # v, with -inf on settled columns
+        done, done_at = [], []              # settled columns and their path lengths
+        i, reach = cur, 0.0
+        while True:
+            # A settled column's path length reads inf, so it is never
+            # lowered again, and its dist is inf, so it is never picked.
+            r = reach - u[i] + cost[i] - open_v
+            lower = r < dist
+            np.copyto(dist, r, where=lower)
+            np.copyto(via, i, where=lower)
+            j = int(np.argmin(dist))
+            reach = float(dist[j])
+            dist[j], open_v[j] = np.inf, -np.inf
+            done.append(j)
+            done_at.append(reach)
+            if row_of[j] < 0:
+                break
+            i = int(row_of[j])
+        u[cur] += reach
+        delta = reach - np.array(done_at)
+        v[done] -= delta
+        u[row_of[done[:-1]]] += delta[:-1]
+        while True:                         # flip the path from the free column j back to cur
+            i = int(via[j])
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == cur:
+                break
+    pairs = tuple(enumerate(col_of))
+    return pairs, math.fsum(cost[i, j] for i, j in pairs)
+
+
+def all_rows_augmented_matching(pi, gj, w, n, m):
+    """Edge indices of a maximum-weight matching of the edge graph."""
+    start = np.searchsorted(pi, np.arange(n + 1)).tolist()
+    cols, cost = gj.tolist(), (-w).tolist()
+    u = [0.0] * n                 # row potentials
+    v = [0.0] * (m + n)           # column potentials
+    row_of = [-1] * (m + n)       # row holding each column, -1 if free
+    col_of = [-1] * n             # column held by each row
+    for cur in range(n):
+        u[cur] = min(cost[start[cur]:start[cur + 1]] + [0.0])  # the private column costs 0
+        dist: dict[int, float] = {}
+        via: dict[int, int] = {}  # row whose edge last lowered dist[j]
+        done: dict[int, float] = {}   # settled columns, in settling order
+        heap: list[tuple[float, int]] = []
+        i, reach = cur, 0.0
+        while True:
+            base = reach - u[i]
+            s, e = start[i], start[i + 1]
+            for j, c in zip(cols[s:e] + [m + n - 1 - i], cost[s:e] + [0.0]):
+                if j not in done:
+                    r = base + c - v[j]
+                    if r < dist.get(j, math.inf):
+                        dist[j], via[j] = r, i
+                        heapq.heappush(heap, (r, j))
+            reach, j = heapq.heappop(heap)
+            while j in done:      # stale entry of a settled column
+                reach, j = heapq.heappop(heap)
+            done[j] = reach
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+        u[cur] += reach
+        for k, d in done.items():
+            v[k] -= reach - d
+            if k != j:
+                u[row_of[k]] += reach - d
+        while True:               # flip the path from the free column j back to cur
+            i = via[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == cur:
+                break
+    gt_of = np.array(col_of, dtype=np.int64)
+    return np.flatnonzero(gj == gt_of[pi])
 
 
 class TestSmallCases:
@@ -143,3 +237,59 @@ class TestInvariants:
         a = hungarian_solve(cost)
         assert a.total_cost == pytest.approx(
             math.fsum(cost[r, c] for r, c in a.pairs), abs=1e-12)
+
+
+class TestGreedyStart:
+    def test_empty_and_single_cell(self):
+        # np.argmin of a (0, 0) matrix along axis 1 raises; the start
+        # must not reach it.
+        for shape in [(0, 0), (0, 3), (3, 0)]:
+            a = hungarian_solve(np.zeros(shape))
+            assert a.pairs == () and a.total_cost == 0.0
+        a = hungarian_solve([[-2.5]])
+        assert a.pairs == ((0, 0),) and a.total_cost == -2.5
+        empty = np.empty(0, dtype=np.int64)
+        for n, m in [(0, 0), (0, 3), (3, 0)]:
+            assert max_weight_matching(empty, empty, np.empty(0), n, m).size == 0
+
+    def test_contested_column_goes_to_the_lowest_row(self):
+        # Rows 0 and 1 both start on column 0; row 0 keeps it and row 1
+        # is augmented onto column 1.
+        a = hungarian_solve([[0.0, 1.0, 5.0], [0.0, 1.0, 5.0]])
+        assert a.pairs == ((0, 0), (1, 1))
+        pi, gj = np.array([0, 0, 1]), np.array([0, 1, 0])
+        keep = max_weight_matching(pi, gj, np.array([1.0, 1.0, 1.0]), 2, 2)
+        assert list(zip(pi[keep].tolist(), gj[keep].tolist())) == [(0, 1), (1, 0)]
+
+    def test_totals_equal_augmenting_every_row(self):
+        # Quantized scenes tie often, so pairs may differ between the two
+        # starts; the optimum they reach may not.
+        rng = np.random.default_rng(70)
+        forbid, penalty = MatchConfig(), MatchConfig(out_of_radius=OutOfRadiusMode.LINEAR_PENALTY)
+        for _ in range(400):
+            n, m = (int(x) for x in rng.integers(1, 41, 2))
+            extent = rng.choice([4.0, 10.0, 30.0])
+            pred = PointSet(np.round(rng.uniform(0, extent, (n, 2))))
+            gt = PointSet(np.round(rng.uniform(0, extent, (m, 2))))
+            radii = all_radii(pred, gt)
+            wm = build_weight_matrix(pred, gt, radii, forbid)
+            pi, gj = np.nonzero(wm.in_radius)
+            w = wm.values[pi, gj]
+            got = math.fsum(w[max_weight_matching(pi, gj, w, n, m)])
+            assert got == math.fsum(w[all_rows_augmented_matching(pi, gj, w, n, m)])
+            cost = -build_weight_matrix(pred, gt, radii, penalty).values
+            cost = cost if n <= m else np.ascontiguousarray(cost.T)
+            assert hungarian_solve(cost).total_cost == all_rows_augmented_solve(cost)[1]
+
+    def test_lattice_giant_component_total(self):
+        # One connected edge graph over a jittered 64 x 64 lattice.
+        rng = np.random.default_rng(22)
+        xs, ys = np.meshgrid(np.arange(64.0), np.arange(64.0))
+        gt = np.column_stack([xs.ravel(), ys.ravel()]) + rng.uniform(-0.2, 0.2, (4096, 2))
+        pred = np.vstack([gt + rng.normal(0, 0.1, gt.shape), rng.uniform(0, 64, (82, 2))])
+        pred, gt = PointSet(pred), PointSet(gt)
+        pi, gj, d = pairs_within(pred, gt, np.full(len(pred), 1.5))
+        w = np.exp(-(d * d) / (2.0 * 0.75 * 0.75))
+        n, m = len(pred), len(gt)
+        got = math.fsum(w[max_weight_matching(pi, gj, w, n, m)])
+        assert got == math.fsum(w[all_rows_augmented_matching(pi, gj, w, n, m)])

@@ -453,19 +453,37 @@ _CONTRACT_CASES = {
     # Refused allocations of 29 TiB: a MemoryError is a data error.
     "kernel-size-alloc": (["kernel", "--size", "2000001"], 2),
     "gradcheck-size-alloc": (["gradcheck", "--size", "2000001", "--trials", "1"], 2),
+    # 20 000 points a side: the grid path of the matcher, end to end.
+    "very-large-files": (["match", "{pred_large}", "{gt_large}", "--out", "{out}"], 0),
 }
+
+
+@pytest.fixture(scope="module")
+def large_pair(tmp_path_factory):
+    """A 20 000-point prediction and ground-truth file, written once."""
+    folder = tmp_path_factory.mktemp("large")
+    rng = np.random.default_rng(64)
+    gt = np.round(rng.uniform(0, 2800, (20000, 2)))
+    pred = np.abs(np.round(np.vstack([gt[:19000] + rng.normal(0, 1.0, (19000, 2)),
+                                      rng.uniform(0, 2800, (1000, 2))])))
+    paths = {"pred_large": folder / "pred.txt", "gt_large": folder / "gt.txt"}
+    cli.serialize_coord_file(PointSet(pred), paths["pred_large"])
+    cli.serialize_coord_file(PointSet(gt), paths["gt_large"])
+    return {k: str(v) for k, v in paths.items()}
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, code", _CONTRACT_CASES.values(), ids=_CONTRACT_CASES.keys())
-def test_cli_input_contract(tmp_path, capsys, argv, code):
+def test_cli_input_contract(tmp_path, capsys, large_pair, argv, code):
     # Every bad input is a data error with one line on stderr; an
     # exception escaping cli.main (a traceback) or a warning fails here.
-    paths = _contract_files(tmp_path)
+    paths = {**_contract_files(tmp_path), **large_pair}
     assert cli.main([a.format(**paths) for a in argv]) == code
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert len(captured.err.splitlines()) == (0 if code == 0 else 1)
+    if code == 0 and "{out}" in argv:
+        assert (tmp_path / "out.txt").read_text().startswith("pred_count: ")
 
 
 def _synth_argv(folder, *flags):
@@ -473,7 +491,7 @@ def _synth_argv(folder, *flags):
             *(f.format(dir=folder) for f in flags)]
 
 
-# Each data error is found before any file is written.
+# A data error or a failed write leaves no file behind.
 _SYNTH_ERRORS = {
     "render-sigma-inf": (["--render-sigma", "inf", "--density-out", "{dir}/m.csv"],
                          "invalid sigma"),
@@ -487,6 +505,10 @@ _SYNTH_ERRORS = {
     # A 1e8 x 1e8 map is a refused allocation of 71 PiB.
     "density-alloc": (["--width", "100000000", "--height", "100000000",
                        "--density-out", "{dir}/m.dmap"], "Unable to allocate"),
+    # A later file that cannot be written removes the files written before it.
+    "perturb-out-missing-dir": (["--perturb-out", "{dir}/nodir/p.txt"], "nodir/p.txt"),
+    "perturb-out-missing-dir-after-map": (["--density-out", "{dir}/m.csv",
+                                           "--perturb-out", "{dir}/nodir/p.txt"], "nodir/p.txt"),
 }
 
 

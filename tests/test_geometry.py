@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from countmatch import geometry
 from countmatch.geometry import (
     GRID_BACKEND_THRESHOLD,
     Point,
     PointLabel,
     PointSet,
     RadiusProfile,
+    _knn,
     adaptive_radius,
     all_radii,
     knn_distances,
@@ -214,6 +216,81 @@ class TestGridEqualsFullScan:
         assert got.tobytes() == np.maximum(nearest.mean(axis=1), 1e-3).tobytes()
         for i in (0, len(queries) - 1):
             assert knn_distances(queries.coords[i], targets, k).tobytes() == nearest[i].tobytes()
+
+
+class TestFusedPass:
+    """``_knn`` with a floor: the radii and the in-radius edges come from
+    the k-NN pass itself, bit-equal to ``all_radii`` then ``pairs_within``."""
+
+    @staticmethod
+    def assert_fused_equals_two_passes(queries, targets, k, floor):
+        nearest, radii, edges = _knn(queries.coords, targets, k, floor)
+        want = all_radii(queries, targets, k, floor).radii
+        assert radii.dtype == want.dtype and radii.tobytes() == want.tobytes()
+        assert nearest.tobytes() == _knn(queries.coords, targets, k)[0].tobytes()
+        for got, expected in zip(edges, pairs_within(queries, targets, want)):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(neighbour_cases(), st.sampled_from([1e-3, 0.5, 3.0, 50.0]))
+    def test_adversarial_layouts(self, case, floor):
+        queries, targets, _, k = case
+        self.assert_fused_equals_two_passes(queries, targets, k, floor)
+
+    @pytest.mark.parametrize("m", [GRID_BACKEND_THRESHOLD - 1, GRID_BACKEND_THRESHOLD])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("step", [0.0, 1.0])   # 1.0: integer points, tied distances
+    def test_both_backends(self, m, k, step):
+        rng = np.random.default_rng(60 + m + k)
+        gt = rng.uniform(0, 200, (m, 2))
+        pred = np.vstack([gt + rng.normal(0, 1.0, gt.shape), rng.uniform(-20, 220, (30, 2))])
+        if step:
+            gt, pred = np.round(gt / step) * step, np.round(pred / step) * step
+        for floor in (1e-3, 2.0, 25.0):
+            self.assert_fused_equals_two_passes(PointSet(pred), PointSet(gt), k, floor)
+
+    @pytest.mark.parametrize("m", [GRID_BACKEND_THRESHOLD - 1, GRID_BACKEND_THRESHOLD])
+    def test_coincident_clusters_whose_floor_exceeds_the_disc(self, m, monkeypatch):
+        # Four stacks of coincident targets on a 2 px square: on the grid
+        # the cells are 1/8 px, so a query on a stack completes with a
+        # 1/4 px disc, and a larger floor sends that row to pairs_within.
+        corners = np.array([(0.0, 0.0), (2.0, 0.0), (0.0, 2.0), (2.0, 2.0)])
+        gt = PointSet(corners[np.arange(m) % 4])
+        pred = PointSet(np.vstack([corners, corners + 0.1, [(1.0, 1.0), (40.0, -3.0)]]))
+        fallback = []
+
+        def spy(queries, targets, radii):
+            fallback.append(len(queries))
+            return pairs_within(queries, targets, radii)
+
+        monkeypatch.setattr(geometry, "pairs_within", spy)
+        for k in (1, 3, 5):
+            for floor in (1e-3, 0.5, 3.0):
+                self.assert_fused_equals_two_passes(pred, gt, k, floor)
+        if m >= GRID_BACKEND_THRESHOLD:
+            assert max(fallback) >= 8
+        else:
+            assert fallback == []   # the full scan holds every distance
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [GRID_BACKEND_THRESHOLD - 1, GRID_BACKEND_THRESHOLD])
+    def test_far_outliers_near_float_max(self, m):
+        rng = np.random.default_rng(61)
+        gt = rng.uniform(-5, 5, (m, 2))
+        gt[:2] = [(-1e308, 3.0), (0.0, 1.7e308)]
+        pred = np.vstack([rng.uniform(-6, 6, (20, 2)), [(0.0, 1e308), (-1.7e308, 0.0),
+                                                        (1e308, -1e308)]])
+        for k in (1, 3, 5):
+            self.assert_fused_equals_two_passes(PointSet(pred), PointSet(gt), k, 1e-3)
+
+    @pytest.mark.parametrize("m", [5, GRID_BACKEND_THRESHOLD])
+    def test_empty_sides(self, m):
+        gt = PointSet(np.random.default_rng(62).uniform(0, 50, (m, 2)))
+        self.assert_fused_equals_two_passes(PointSet([]), gt, 5, 1e-3)
+        for floor in (None, 1e-3):
+            with pytest.raises(ValueError, match="target set is empty"):
+                _knn(gt.coords, PointSet([]), 5, floor)
 
 
 class TestPairsWithin:

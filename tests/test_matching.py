@@ -437,6 +437,22 @@ class TestSparsePath:
         check_result_invariants(result, n, m)
         assert peak < n * m * 8 / 4   # a quarter of one dense float64 matrix
 
+    def test_fused_grid_pass_builds_no_n_by_m_array(self):
+        # Radii and edges of a 20 000-point match come from one grid pass.
+        rng = np.random.default_rng(63)
+        gt = rng.uniform(0, 2800, (20000, 2))
+        pred = np.vstack([gt[:19000] + rng.normal(0, 1.0, (19000, 2)),
+                          rng.uniform(0, 2800, (1000, 2))])
+        pred, gt = PointSet(pred), PointSet(gt)
+        tracemalloc.start()
+        try:
+            result = match_points(pred, gt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        check_result_invariants(result, 20000, 20000)
+        assert peak < 20000 * 20000 / 8   # less than one bit per (prediction, gt) pair
+
     def test_giant_component(self):
         # Every radius covers every point: the edge graph is complete, one
         # component.
@@ -518,6 +534,32 @@ class TestTieRule:
             cost[np.arange(n), m + n - 1 - np.arange(n)] = 0.0
             dense = [(i, j) for i, j in hungarian_solve(cost).pairs if j < m]
             assert dense == [(p.pred_index, p.gt_index) for p in match_points(pred, gt).pairs]
+
+
+class TestSubResolutionWeights:
+    def test_fixed_sigma_dense_solve_takes_the_sparse_pairs(self):
+        # FIXED sigma 0.3 px with predictions 2-5 px off their gt: every
+        # edge weighs between exp(-139) and exp(-22), far below the
+        # resolution of a total near 1. The dense private-column solve
+        # still returns the pairs of the sparse one.
+        cfg = MatchConfig(sigma_mode=SigmaMode.FIXED, sigma_value=0.3)
+        rng = np.random.default_rng(71)
+        for _ in range(200):
+            m = int(rng.integers(2, 41))
+            gt = np.round(rng.uniform(0, 60, (m, 2)))
+            angle = rng.uniform(0, 2 * np.pi, m)
+            direction = np.column_stack([np.cos(angle), np.sin(angle)])
+            offset = rng.uniform(2, 5, m)[:, None] * direction
+            pred = np.vstack([gt + offset, gt[:int(rng.integers(0, 3))]])
+            pred, gt = PointSet(rng.permutation(pred)), PointSet(gt)
+            n = len(pred)
+            wm = build_weight_matrix(pred, gt, all_radii(pred, gt, cfg.k, cfg.radius_floor), cfg)
+            cost = np.ones((n, m + n))
+            cost[:, :m][wm.in_radius] = -wm.values[wm.in_radius]
+            cost[np.arange(n), m + n - 1 - np.arange(n)] = 0.0
+            dense = [(i, j) for i, j in hungarian_solve(cost).pairs if j < m]
+            result = match_points(pred, gt, cfg)
+            assert dense == [(p.pred_index, p.gt_index) for p in result.pairs]
 
 
 class TestFarPrediction:
