@@ -18,19 +18,21 @@ holds the offsets with max(|u|, |v|) = r, in row-major order). A kernel
 of size 2r + 1 is rings 0..r of every larger one, so the multi-scale
 Gaussian blocks are the saved partial sums of one pass out to the
 largest size, and each offset's coefficient grid is evaluated once for
-all sizes.
+all sizes. The pass walks the image in horizontal strips of whole rows,
+small enough for the running sums to stay in cache; each strip runs the
+full ring order before the next begins, so every pixel sees the same
+accumulation order, and the same bits, as in one whole-image pass.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .kernels import (_gaussian_factors, _offset_coefficient, _validate_size, logistic,
-                      squash_offset, squash_sigma)
+from .kernels import (_gaussian_factors, _offset_coefficient, _validate_axial_scales,
+                      _validate_size, logistic, squash_offset, squash_sigma)
 
 
 @dataclass(frozen=True)
@@ -81,8 +83,7 @@ class ParamField:
             raise ValueError(f"parameter field must be 3 x H x W, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("parameter field must be finite")
-        if not (self.sx > 0 and self.sy > 0 and math.isfinite(self.sx) and math.isfinite(self.sy)):
-            raise ValueError("axial scales must be positive and finite")
+        _validate_axial_scales(self.sx, self.sy)
         arr.setflags(write=False)
         object.__setattr__(self, "raws", arr)
 
@@ -125,6 +126,10 @@ def predict_params(feature: FeatureMap, weights: np.ndarray,
     return ParamField(raws=raws, sx=sx, sy=sy)
 
 
+# Values in one strip of the running sum (c * rows * w): 256 KB of float64.
+_STRIP_CELLS = 1 << 15
+
+
 def _ring(r: int) -> list[tuple[int, int]]:
     """Offsets (u, v) with max(|u|, |v|) = r, in row-major order."""
     return [(u, v) for v in range(-r, r + 1)
@@ -135,10 +140,13 @@ def _gaussian_pass(feature: FeatureMap, field: ParamField, halves: set[int],
                    renormalize: bool) -> dict[int, np.ndarray]:
     """Dynamic Gaussian outputs for every half-width in ``halves``, from one pass.
 
-    The offsets are added ring by ring from the centre out; after each
-    requested ring the running sum is saved as that half-width's output.
-    With ``renormalize`` the per-pixel coefficient sum is built up through
-    the same rings and each saved output is divided by it once.
+    The image is walked in strips of whole rows, about ``_STRIP_CELLS``
+    values per channel stack, so the running sums stay in cache. Within a
+    strip the offsets are added ring by ring from the centre out; after
+    each requested ring the strip's running sum is written into that
+    half-width's output. With ``renormalize`` the per-pixel coefficient
+    sum is built up through the same rings and each saved strip is
+    divided by it once.
     """
     if (field.height, field.width) != (feature.height, feature.width):
         raise ValueError(
@@ -154,19 +162,26 @@ def _gaussian_pass(feature: FeatureMap, field: ParamField, halves: set[int],
     x_terms = {u: -((u - dx) ** 2) / sx2 for u in range(-top, top + 1)}
     y_terms = {v: ((v - dy) ** 2) / sy2 for v in range(-top, top + 1)}
 
-    out = np.zeros((c, h, w))
-    tmp = np.empty((c, h, w))
-    denom = np.zeros((h, w)) if renormalize else None
-    saved = {}
-    for r in range(top + 1):
-        for u, v in _ring(r):
-            coeff = _offset_coefficient(norm, x_terms[u], y_terms[v])
-            if denom is not None:
-                denom += coeff
-            np.multiply(coeff, padded[:, v + top:v + top + h, u + top:u + top + w], out=tmp)
-            out += tmp
-        if r in halves:
-            saved[r] = out / denom if denom is not None else out.copy()
+    saved = {r: np.empty((c, h, w)) for r in halves}
+    rows = max(1, _STRIP_CELLS // (c * w))
+    for y0 in range(0, h, rows):
+        y1 = min(y0 + rows, h)
+        out = np.zeros((c, y1 - y0, w))
+        tmp = np.empty_like(out)
+        denom = np.zeros((y1 - y0, w)) if renormalize else None
+        for r in range(top + 1):
+            for u, v in _ring(r):
+                coeff = _offset_coefficient(norm[y0:y1], x_terms[u][y0:y1], y_terms[v][y0:y1])
+                if denom is not None:
+                    denom += coeff
+                np.multiply(coeff, padded[:, y0 + v + top:y1 + v + top, u + top:u + top + w],
+                            out=tmp)
+                out += tmp
+            if r in halves:
+                if denom is None:
+                    saved[r][:, y0:y1] = out
+                else:
+                    np.divide(out, denom, out=saved[r][:, y0:y1])
     return saved
 
 
@@ -224,8 +239,13 @@ def fusion_attention(f_cat: FeatureMap, alpha) -> tuple[FeatureMap, AttentionSta
     if a.shape[0] != f_cat.channels:
         raise ValueError(
             f"alpha length {a.shape[0]} does not match {f_cat.channels} channels")
-    means = f_cat.values.mean(axis=(1, 2))
-    alpha_prime = a + means
+    if not np.all(np.isfinite(a)):
+        raise ValueError("alpha must be finite")
+    with np.errstate(over="raise"):
+        try:
+            alpha_prime = a + f_cat.values.mean(axis=(1, 2))
+        except FloatingPointError as exc:
+            raise ValueError("channel mean or attention logit overflows") from exc
     gate = logistic(alpha_prime)
     out = FeatureMap(f_cat.values * gate[:, None, None])
     return out, AttentionState(alpha=a, alpha_prime=alpha_prime)

@@ -3,7 +3,9 @@
 A kernel is parameterized by a base standard deviation ``sigma`` in
 [1, 10], sub-pixel center offsets ``dx, dy`` in [-2, 2], and positive
 axial scales ``sx, sy`` that turn the base deviation into anisotropic
-widths sigma_x = sx * sigma and sigma_y = sy * sigma. On an odd-sized
+widths sigma_x = sx * sigma and sigma_y = sy * sigma. The scales are
+bounded so that the Gaussian factors stay in float64 range for every
+sigma (``_validate_axial_scales``, which ``dynconv`` calls too). On an odd-sized
 grid of integer offsets (u, v) from the center pixel (y axis pointing
 down, image convention) the kernel value is
 
@@ -74,8 +76,7 @@ class KernelParams:
             raise ValueError(f"sigma must lie in [{SIGMA_MIN}, {SIGMA_MAX}], got {self.sigma}")
         if abs(self.dx) > OFFSET_LIMIT or abs(self.dy) > OFFSET_LIMIT:
             raise ValueError(f"offsets must lie in [-{OFFSET_LIMIT}, {OFFSET_LIMIT}]")
-        if self.sx <= 0 or self.sy <= 0:
-            raise ValueError("axial scales must be positive")
+        _validate_axial_scales(self.sx, self.sy)
 
     @property
     def sigma_x(self) -> float:
@@ -151,6 +152,23 @@ def _validate_size(size: int) -> int:
     if size < 3 or size % 2 == 0:
         raise ValueError(f"kernel size must be odd and >= 3, got {size}")
     return int(size)
+
+
+def _validate_axial_scales(sx: float, sy: float) -> None:
+    """The axial-scale rule: sx and sy are positive, finite, and keep
+    ``_gaussian_factors`` free of overflow and underflow for every sigma in
+    [SIGMA_MIN, SIGMA_MAX]. Each factor is monotone in sigma, so the two
+    ends of the range decide."""
+    if not (sx > 0 and sy > 0 and math.isfinite(sx) and math.isfinite(sy)):
+        raise ValueError(f"axial scales must be positive and finite, got sx={sx}, sy={sy}")
+    with np.errstate(all="raise"):
+        try:
+            for sigma in (SIGMA_MIN, SIGMA_MAX):
+                _gaussian_factors(np.float64(sx) * sigma, np.float64(sy) * sigma)
+        except FloatingPointError:
+            raise ValueError(
+                f"axial scales sx={sx}, sy={sy} over- or underflow the Gaussian factors "
+                f"for sigma in [{SIGMA_MIN}, {SIGMA_MAX}]") from None
 
 
 def _offset_grids(size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -453,6 +453,11 @@ _CONTRACT_CASES = {
     # Refused allocations of 29 TiB: a MemoryError is a data error.
     "kernel-size-alloc": (["kernel", "--size", "2000001"], 2),
     "gradcheck-size-alloc": (["gradcheck", "--size", "2000001", "--trials", "1"], 2),
+    # Axial scales whose Gaussian factors over- or underflow float64.
+    "kernel-sx-huge": (["kernel", "--sx", "1e160"], 2),
+    "kernel-sx-tiny": (["kernel", "--sx", "1e-160"], 2),
+    "kernel-sy-huge": (["kernel", "--sy", "1e160"], 2),
+    "kernel-sy-tiny": (["kernel", "--sy", "1e-160"], 2),
     # 20 000 points a side: the grid path of the matcher, end to end.
     "very-large-files": (["match", "{pred_large}", "{gt_large}", "--out", "{out}"], 0),
 }

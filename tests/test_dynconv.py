@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,14 @@ from countmatch.dynconv import (
     multiscale_forward,
     predict_params,
 )
-from countmatch.kernels import KernelParams, squash_offset, squash_sigma, synthesize_kernel
+from countmatch.kernels import (
+    KernelParams,
+    _gaussian_factors,
+    _offset_coefficient,
+    squash_offset,
+    squash_sigma,
+    synthesize_kernel,
+)
 
 
 def naive_conv(feature, field, size, renormalize=False):
@@ -48,6 +56,40 @@ def naive_conv(feature, field, size, renormalize=False):
     return out
 
 
+def single_block_pass(feature, field, halves, renormalize):
+    """The Gaussian pass over the whole image as one block, as it stood
+    before the strip pass; the strip pass must reproduce its bits."""
+    _ring = dynconv._ring
+    if (field.height, field.width) != (feature.height, feature.width):
+        raise ValueError(
+            f"parameter field misaligned: field is {field.height}x{field.width}, "
+            f"feature is {feature.height}x{feature.width}")
+    c, h, w = feature.values.shape
+    top = max(halves)
+    # Squashed per-pixel Gaussian factors, shared by all kernel offsets.
+    sigma = squash_sigma(field.raws[0])
+    dx, dy = squash_offset(field.raws[1]), squash_offset(field.raws[2])
+    sx2, sy2, norm = _gaussian_factors(field.sx * sigma, field.sy * sigma)
+    padded = np.pad(feature.values, ((0, 0), (top, top), (top, top)))
+    x_terms = {u: -((u - dx) ** 2) / sx2 for u in range(-top, top + 1)}
+    y_terms = {v: ((v - dy) ** 2) / sy2 for v in range(-top, top + 1)}
+
+    out = np.zeros((c, h, w))
+    tmp = np.empty((c, h, w))
+    denom = np.zeros((h, w)) if renormalize else None
+    saved = {}
+    for r in range(top + 1):
+        for u, v in _ring(r):
+            coeff = _offset_coefficient(norm, x_terms[u], y_terms[v])
+            if denom is not None:
+                denom += coeff
+            np.multiply(coeff, padded[:, v + top:v + top + h, u + top:u + top + w], out=tmp)
+            out += tmp
+        if r in halves:
+            saved[r] = out / denom if denom is not None else out.copy()
+    return saved
+
+
 class TestFeatureMapValidation:
     def test_shape_and_finiteness(self):
         with pytest.raises(ValueError):
@@ -62,6 +104,14 @@ class TestFeatureMapValidation:
             ParamField(np.zeros((2, 4, 4)))
         with pytest.raises(ValueError):
             ParamField(np.zeros((3, 4, 4)), sx=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e155, 1e-155, 1e160, 1e-160])
+    @pytest.mark.parametrize("axis", ["sx", "sy"])
+    def test_axial_scales_whose_factors_leave_float_range(self, axis, scale):
+        # The kernels rule, raised at construction rather than in the conv.
+        with pytest.raises(ValueError, match="axial scales .* over- or underflow"):
+            ParamField(np.zeros((3, 4, 4)), **{axis: scale})
 
 
 class TestPredictParams:
@@ -294,3 +344,97 @@ class TestFusionAttention:
         fm = FeatureMap(np.ones((2, 2, 2)))
         with pytest.raises(ValueError, match="alpha length"):
             fusion_attention(fm, np.zeros(3))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alpha_is_named(self, bad):
+        fm = FeatureMap(np.ones((2, 2, 2)))
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            fusion_attention(fm, np.array([0.0, bad]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("values, alpha", [(1e308, 0.0), (1e307, 1.7e308)],
+                             ids=["mean", "logit"])
+    def test_overflowing_logits_are_value_errors(self, values, alpha):
+        fm = FeatureMap(np.full((2, 3, 3), values))
+        with pytest.raises(ValueError, match="overflows"):
+            fusion_attention(fm, np.array([alpha, 0.0]))
+
+
+def _strip_case(c, h, w, seed):
+    rng = np.random.default_rng(seed)
+    return (FeatureMap(rng.normal(size=(c, h, w))),
+            ParamField(rng.normal(size=(3, h, w)), sx=1.2, sy=0.8))
+
+
+class TestStripPass:
+    """The strip pass gives the whole-image pass's bits on every strip layout."""
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    @pytest.mark.parametrize("c, h, w", [
+        (4, 40, 300),       # strips of 27 rows: the last is 13
+        (1, 3, dynconv._STRIP_CELLS + 1),  # c * w > _STRIP_CELLS: one-row strips
+        (1, 1, 1),
+        (3, 1, 50),
+        (2, 50, 1),
+        (16, 128, 128),     # the benchmark's map: strips of 16 rows
+    ])
+    def test_bits_equal_single_block_pass(self, c, h, w, renormalize):
+        if (c, h, w) == (4, 40, 300):
+            assert dynconv._STRIP_CELLS // (c * w) == 27
+        fm, field = _strip_case(c, h, w, c * h * w)
+        for scales in [(3, 5, 7, 9), (3, 3, 9)]:
+            halves = {s // 2 for s in scales}
+            want = single_block_pass(fm, field, halves, renormalize)
+            got = dynconv._gaussian_pass(fm, field, halves, renormalize)
+            assert got.keys() == want.keys()
+            for r in halves:
+                assert got[r].tobytes() == want[r].tobytes()
+            out = multiscale_forward(fm, field, scales, renormalize).values
+            n = len(scales) * c
+            for si, s in enumerate(scales):
+                assert out[n + si * c:n + (si + 1) * c].tobytes() == want[s // 2].tobytes()
+
+    def test_impulse_reproduces_synthesized_kernel_across_strips(self):
+        # The impulse's response spans a strip boundary (rows 27 and 28).
+        c, h, w = 4, 60, 300
+        raws = np.zeros((3, h, w))
+        raws[0] += 0.37
+        raws[1] += -0.25
+        raws[2] += 0.4
+        field = ParamField(raws, sx=1.1, sy=0.9)
+        impulse = np.zeros((c, h, w))
+        impulse[:, 28, 100] = 1.0
+        assert dynconv._STRIP_CELLS // (c * w) == 27
+        out = dynamic_gaussian_conv(FeatureMap(impulse), field, 5).values
+        params = KernelParams(sigma=float(squash_sigma(0.37)), dx=float(squash_offset(-0.25)),
+                              dy=float(squash_offset(0.4)), sx=1.1, sy=0.9)
+        kernel = synthesize_kernel(params, 5).values
+        flipped = kernel[::-1, ::-1]
+        for ch in range(c):
+            assert out[ch, 26:31, 98:103].tobytes() == flipped.tobytes()
+
+    def test_coefficients_cover_each_pixel_once_per_offset(self, monkeypatch):
+        elements = []
+        real = dynconv._offset_coefficient
+
+        def counted(*args):
+            elements.append(np.broadcast(*args).size)
+            return real(*args)
+
+        monkeypatch.setattr(dynconv, "_offset_coefficient", counted)
+        c, h, w = 4, 40, 300
+        fm, field = _strip_case(c, h, w, 12)
+        multiscale_forward(fm, field, scales=(3, 5, 7, 9))
+        assert len(elements) > 81  # more than one strip
+        assert sum(elements) == 9 * 9 * h * w
+
+    def test_traced_peak_is_bounded_by_the_output(self):
+        fm, field = _strip_case(16, 128, 128, 13)
+        tracemalloc.start()
+        try:
+            out = multiscale_forward(fm, field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * out.values.nbytes

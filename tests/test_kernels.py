@@ -78,6 +78,22 @@ class TestKernelParams:
         with pytest.raises(ValueError):
             KernelParams(sigma=2.0, sx=0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scales", [(1e153, 1.0), (1.0, 1e160), (1e-155, 1.0),
+                                        (1.0, 1e-160), (5e-324, 1.0)])
+    def test_axial_scales_whose_factors_leave_float_range(self, scales):
+        sx, sy = scales
+        with pytest.raises(ValueError, match="axial scales .* over- or underflow"):
+            KernelParams(sigma=5.0, sx=sx, sy=sy)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scales", [(1e150, 1e150), (1e-150, 1e-150), (1e-153, 1e10)])
+    def test_axial_scales_inside_float_range(self, scales):
+        sx, sy = scales
+        for sigma in (1.0, 10.0):
+            k = synthesize_kernel(KernelParams(sigma=sigma, sx=sx, sy=sy), 3)
+            assert np.isfinite(k.values).all()
+
     def test_derived_widths(self):
         p = KernelParams(sigma=4.0, sx=0.5, sy=2.0)
         assert p.sigma_x == 2.0
