@@ -159,8 +159,9 @@ def _gaussian_pass(feature: FeatureMap, field: ParamField, halves: set[int],
     dx, dy = squash_offset(field.raws[1]), squash_offset(field.raws[2])
     sx2, sy2, norm = _gaussian_factors(field.sx * sigma, field.sy * sigma)
     padded = np.pad(feature.values, ((0, 0), (top, top), (top, top)))
-    x_terms = {u: -((u - dx) ** 2) / sx2 for u in range(-top, top + 1)}
-    y_terms = {v: ((v - dy) ** 2) / sy2 for v in range(-top, top + 1)}
+    with np.errstate(over="ignore"):   # an infinite term gives exp(-inf) = 0, as in kernels
+        x_terms = {u: -((u - dx) ** 2) / sx2 for u in range(-top, top + 1)}
+        y_terms = {v: ((v - dy) ** 2) / sy2 for v in range(-top, top + 1)}
 
     saved = {r: np.empty((c, h, w)) for r in halves}
     rows = max(1, _STRIP_CELLS // (c * w))

@@ -7,8 +7,13 @@ edges of the matcher). Both take whole batches of queries. Below
 ``GRID_BACKEND_THRESHOLD`` targets they scan every target in bounded
 blocks; at or above it they ask a uniform-grid index whose one query is
 a batched disc query, and k-NN becomes disc queries whose radius doubles
-until each holds k targets. Every query here is exact: the grid returns
-the same distances as a full scan, it only prunes the candidate set.
+until each holds k targets. Each disc starts at the size that the
+occupancy of the grid cells around its query predicts will hold about
+twice k targets, so a k-NN query computes a small multiple of k
+distances whether the targets there are sparse or packed, and each
+row's k smallest are selected with a partition, not a sort of every
+candidate. Every query here is exact: the grid returns the same
+distances as a full scan, it only prunes the candidate set.
 
 The adaptive radius of a query point is the mean of its distances to the
 k nearest target points, clamped below by a configurable floor. It
@@ -159,10 +164,12 @@ class _UniformGrid:
     indices are stored sorted by cell (column-major: cell id = ix * ny +
     iy), so the cells of one grid column over a row range are one
     contiguous slice of ``order``; ``counts`` is a summed-area table of
-    the cell occupancies. The one query, :meth:`within`, takes a whole
+    the cell occupancies, which gives the number of points in any box of
+    cells from four lookups. The one query, :meth:`within`, takes a whole
     batch of discs and visits, for each, only the cells of its bounding
     box that lie inside the grid: a query far outside the cloud costs no
-    more than one next to it.
+    more than one next to it. :meth:`start_radii` reads the table to size
+    the first disc of a k-NN query.
     """
 
     __slots__ = ("coords", "origin", "top", "cell", "shape", "order", "starts", "counts")
@@ -197,6 +204,29 @@ class _UniformGrid:
         """
         return (xy / 2 - self.origin / 2) / (self.cell / 2)
 
+    def _occupancy(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Points in the cell boxes ``[lo, hi)``, from the summed-area table."""
+        c, w = self.counts, self.counts.shape[1]
+        return c.take(hi[:, 0] * w + hi[:, 1]) - c.take(lo[:, 0] * w + hi[:, 1]) \
+            - c.take(hi[:, 0] * w + lo[:, 1]) + c.take(lo[:, 0] * w + lo[:, 1])
+
+    def start_radii(self, queries: np.ndarray, k: int) -> np.ndarray:
+        """Radius of a disc around each query's nearest cell expected to
+        hold about ``_START_FILL * k`` points, at most two cells.
+
+        The local density is the occupancy of the 3x3 cells around the
+        query's cell (its nearest one, for a query outside the grid),
+        clipped to the grid. Worked in cells, so nothing squares ``cell``.
+        """
+        with np.errstate(over="ignore"):
+            at = np.floor(self._cells(queries))
+        at = np.clip(at, 0, np.subtract(self.shape, 1)).astype(np.int64)
+        lo = np.maximum(at - 1, 0)
+        hi = np.minimum(at + 2, self.shape)
+        count = np.maximum(self._occupancy(lo, hi), 1)
+        fill = _START_FILL * k * np.prod(hi - lo, axis=1) / (math.pi * count)
+        return np.minimum(np.sqrt(fill), 2.0) * self.cell
+
     def within(self, queries: np.ndarray,
                radii: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
         """Points at distance <= radii[i] from queries[i], for every i.
@@ -205,7 +235,9 @@ class _UniformGrid:
         the queries: query indices (non-decreasing, inside ``chunk``),
         point indices (in no set order within a query) and distances. A
         chunk gathers at most ``_SCAN_BLOCK_CELLS`` candidate points and
-        box columns, unless one query alone needs more.
+        box columns, unless one query alone needs more. Rows are gathered
+        with ``take``, which copies contiguous rows faster than fancy
+        indexing.
         """
         # Widen each box by a few ulps so rounding in q -/+ r cannot drop
         # a point lying exactly on the disc's edge. Cell indices are
@@ -219,10 +251,7 @@ class _UniformGrid:
         lo = np.clip(lo, 0, self.shape).astype(np.int64)
         hi = np.clip(hi, 0, self.shape).astype(np.int64)
         ncols = np.where(hi[:, 1] > lo[:, 1], hi[:, 0] - lo[:, 0], 0)
-        c = self.counts
-        boxed = c[hi[:, 0], hi[:, 1]] - c[lo[:, 0], hi[:, 1]] - c[hi[:, 0], lo[:, 1]] \
-            + c[lo[:, 0], lo[:, 1]]
-        cost = np.cumsum(boxed + ncols)
+        cost = np.cumsum(self._occupancy(lo, hi) + ncols)
         ny = self.shape[1]
         s = 0
         while s < len(queries):
@@ -230,12 +259,12 @@ class _UniformGrid:
             e = max(int(np.searchsorted(cost, spent + _SCAN_BLOCK_CELLS, side="right")), s + 1)
             cols = np.repeat(np.arange(s, e), ncols[s:e])
             ix = _ranges(lo[s:e, 0], ncols[s:e]) * ny
-            first = self.starts[ix + lo[cols, 1]]
-            lens = self.starts[ix + hi[cols, 1]] - first
-            ti = self.order[_ranges(first, lens)]
+            first = self.starts.take(ix + lo[:, 1].take(cols))
+            lens = self.starts.take(ix + hi[:, 1].take(cols)) - first
+            ti = self.order.take(_ranges(first, lens))
             qi = np.repeat(cols, lens)
-            d = _distances(self.coords[ti], queries[qi])
-            keep = d <= radii[qi]
+            d = _distances(self.coords.take(ti, axis=0), queries.take(qi, axis=0))
+            keep = d <= radii.take(qi)
             yield slice(s, e), qi[keep], ti[keep], d[keep]
             s = e
 
@@ -292,6 +321,10 @@ def adaptive_radius(p: PointLike, gt: PointSet, k: int = DEFAULT_K,
 #: blocks of at most this many query-target pairs.
 _SCAN_BLOCK_CELLS = 1 << 16
 
+#: A k-NN disc on the grid starts where the local occupancy predicts
+#: about this many times k targets (:meth:`_UniformGrid.start_radii`).
+_START_FILL = 2
+
 
 def _scan_blocks(queries: np.ndarray, targets: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Full-scan distances, one block of query rows at a time.
@@ -313,9 +346,11 @@ def _knn(queries: np.ndarray, targets: PointSet, k: int, floor: Optional[float] 
     Below ``GRID_BACKEND_THRESHOLD`` targets the queries are scanned
     against every target in bounded blocks. At or above it each query
     asks the grid for a disc that starts at the distance to the cloud's
-    bounding box plus two cells and doubles until it holds k targets; a
-    disc holding k targets contains the k nearest, so the result is
-    exact. Memory is O(len(queries) * k + block + edges).
+    bounding box plus :meth:`_UniformGrid.start_radii`, a radius read
+    from the occupancy of the cells around the query, and doubles until
+    it holds k targets; a disc holding k targets contains the k nearest,
+    so the result is exact. Each row's k smallest are selected by
+    :func:`_row_smallest`. Memory is O(len(queries) * k + block + edges).
 
     Returns ``(nearest, radii, edges)``. Given a ``floor``, ``radii`` are
     the adaptive radii ``_radius(nearest, floor)`` and ``edges`` is what
@@ -346,32 +381,31 @@ def _knn(queries: np.ndarray, targets: PointSet, k: int, floor: Optional[float] 
         grid = targets._index()
         # A start or doubled radius beyond the float range is inf: that
         # disc holds the whole cloud.
-        disc = _distances(queries, np.clip(queries, grid.origin, grid.top)) + 2 * grid.cell
+        disc = _distances(queries, np.clip(queries, grid.origin, grid.top)) \
+            + grid.start_radii(queries, kk)
         todo = np.arange(len(queries))
         wide = [todo[:0]]         # rows whose floor exceeds their final disc
         while todo.size:
             short = [todo[:0]]
-            for chunk, qi, ti, d in grid.within(queries[todo], disc[todo]):
+            for chunk, qi, ti, d in grid.within(queries.take(todo, axis=0), disc.take(todo)):
                 qi = qi - chunk.start
                 counts = np.bincount(qi, minlength=chunk.stop - chunk.start)
-                ordered = d[np.lexsort((d, qi))]
                 full = counts >= kk
-                first = (np.cumsum(counts) - counts)[full]
                 rows = todo[chunk]
-                out[rows[full]] = nearest = ordered[first[:, None] + np.arange(kk)]
+                out[rows[full]] = nearest = _row_smallest(d, counts, kk)[full]
                 short.append(rows[~full])
                 if floor is not None:
                     reach = np.full(len(rows), -1.0)   # a row not yet full has no edge
                     radii[rows[full]] = reach[full] = _radius(nearest, floor)
-                    over = reach > disc[rows]
+                    over = reach > disc.take(rows)
                     wide.append(rows[over])
-                    keep = d <= np.where(over, -1.0, reach)[qi]
-                    parts.append((rows[qi[keep]], ti[keep], d[keep]))
+                    keep = d <= np.where(over, -1.0, reach).take(qi)
+                    parts.append((rows.take(qi[keep]), ti[keep], d[keep]))
             todo = np.concatenate(short)
             with np.errstate(over="ignore"):
                 disc[todo] *= 2
-        if floor is not None:
-            wide = np.concatenate(wide)
+        wide = np.concatenate(wide)
+        if wide.size:             # only with a floor
             qi, ti, d = pairs_within(PointSet.from_coords(queries[wide]), targets, radii[wide])
             parts.append((wide[qi], ti, d))
     if floor is None:
@@ -379,6 +413,33 @@ def _knn(queries: np.ndarray, targets: PointSet, k: int, floor: Optional[float] 
     qi, ti, d = (np.concatenate(c) for c in zip(*parts))
     order = np.argsort(qi * m + ti)   # each (query, target) pair occurs once
     return out, radii, (qi[order], ti[order], d[order])
+
+
+def _row_smallest(d: np.ndarray, counts: np.ndarray, kk: int) -> np.ndarray:
+    """Row i: the ``kk`` smallest of row i's values in non-decreasing
+    order, padded with inf where the row has fewer.
+
+    ``d`` holds the rows one after another, ``counts[i]`` values for
+    row i. Rows are scattered into inf-padded (rows, longest row) blocks
+    of at most ``_SCAN_BLOCK_CELLS`` cells, each partitioned then sorted
+    on its first ``kk`` columns; a row longer than that is a block of
+    its own.
+    """
+    out = np.empty((len(counts), kk), dtype=np.float64)
+    ends = np.cumsum(counts)
+    s = 0
+    while s < len(counts):
+        # Every block is at least kk wide, so it holds at most this many rows.
+        widest = np.maximum.accumulate(counts[s:s + max(1, _SCAN_BLOCK_CELLS // kk)])
+        cells = np.maximum(widest, kk) * np.arange(1, len(widest) + 1)
+        e = s + max(int(np.searchsorted(cells, _SCAN_BLOCK_CELLS, side="right")), 1)
+        width = max(int(widest[e - s - 1]), kk)
+        block = np.full((e - s) * width, np.inf)
+        block[_ranges(np.arange(e - s) * width, counts[s:e])] = d[ends[s] - counts[s]:ends[e - 1]]
+        block = np.partition(block.reshape(e - s, width), kk - 1, axis=1)
+        out[s:e] = np.sort(block[:, :kk], axis=1)
+        s = e
+    return out
 
 
 def all_radii(pred: PointSet, gt: PointSet, k: int = DEFAULT_K,

@@ -200,8 +200,11 @@ def synthesize_kernel(params: KernelParams, size: int, renormalize: bool = False
     size = _validate_size(size)
     u, v = _offset_grids(size)
     sx2, sy2, norm = _gaussian_factors(params.sigma_x, params.sigma_y)
-    values = _offset_coefficient(norm, -((u - params.dx) ** 2) / sx2,
-                                 ((v - params.dy) ** 2) / sy2)
+    # A tiny axial scale overflows an offset term to -inf or +inf, whose
+    # coefficient exp(-inf) = 0 is the right value.
+    with np.errstate(over="ignore"):
+        x_term, y_term = -((u - params.dx) ** 2) / sx2, ((v - params.dy) ** 2) / sy2
+    values = _offset_coefficient(norm, x_term, y_term)
     if renormalize:
         values = values / values.sum()
     return Kernel(values=values, params=params, renormalized=renormalize)

@@ -458,6 +458,8 @@ _CONTRACT_CASES = {
     "kernel-sx-tiny": (["kernel", "--sx", "1e-160"], 2),
     "kernel-sy-huge": (["kernel", "--sy", "1e160"], 2),
     "kernel-sy-tiny": (["kernel", "--sy", "1e-160"], 2),
+    # Just inside the rule: the offset terms overflow to coefficients of 0.
+    "kernel-sx-tiny-inside": (["kernel", "--sigma", "1", "--sx", "2e-154", "--size", "9"], 0),
     # 20 000 points a side: the grid path of the matcher, end to end.
     "very-large-files": (["match", "{pred_large}", "{gt_large}", "--out", "{out}"], 0),
 }

@@ -114,6 +114,23 @@ class TestFeatureMapValidation:
             ParamField(np.zeros((3, 4, 4)), **{axis: scale})
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("axis", ["sx", "sy"])
+    def test_offset_terms_beyond_float_range(self, axis):
+        # As in synthesize_kernel: an offset term that overflows gives a
+        # coefficient of 0, without a warning, and an impulse still
+        # reproduces the synthesized kernel bit for bit.
+        field = ParamField(np.full((3, 9, 9), -30.0), **{axis: 2e-154})
+        out = multiscale_forward(FeatureMap(np.ones((2, 9, 9))), field).values
+        assert np.isfinite(out).all() and out.any()
+        impulse = np.zeros((1, 9, 9))
+        impulse[0, 4, 4] = 1.0
+        response = dynamic_gaussian_conv(FeatureMap(impulse), field, 9).values[0]
+        params = KernelParams(sigma=float(squash_sigma(-30.0)), dx=float(squash_offset(-30.0)),
+                              dy=float(squash_offset(-30.0)), **{axis: 2e-154})
+        assert response.tobytes() == synthesize_kernel(params, 9).values[::-1, ::-1].tobytes()
+
+
 class TestPredictParams:
     def test_zero_head_gives_squash_midpoint(self):
         fm = FeatureMap(np.random.default_rng(0).normal(size=(4, 5, 6)))

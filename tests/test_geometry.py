@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from countmatch import geometry
 from countmatch.geometry import (
+    DEFAULT_RADIUS_FLOOR,
     GRID_BACKEND_THRESHOLD,
     Point,
     PointLabel,
@@ -19,6 +20,7 @@ from countmatch.geometry import (
     pairs_within,
     pairwise_distances,
 )
+from countmatch.synth import DensityProfile, SceneConfig, perturb_points, sample_points
 
 
 def brute_knn(query, targets, k):
@@ -291,6 +293,115 @@ class TestFusedPass:
         for floor in (None, 1e-3):
             with pytest.raises(ValueError, match="target set is empty"):
                 _knn(gt.coords, PointSet([]), 5, floor)
+
+
+def synth_pair(profile, n, seed):
+    """A synth scene of n targets on 900 x 900 px, and predictions: 5 %
+    dropped, 1 px jitter, about 6 % spurious points over the canvas."""
+    gt = sample_points(SceneConfig(width=900, height=900, n_points=n,
+                                   profile=DensityProfile(profile), spacing_dense=6.0,
+                                   spacing_sparse=20.0, jitter=1.0, seed=seed))
+    pred = perturb_points(gt, drop_rate=0.05, spurious_rate=0.06, noise_sigma=1.0,
+                          seed=seed + 1, bounds=(900, 900))
+    return pred, gt
+
+
+def assert_knn_equals_dense(queries, targets, k, floor):
+    """``_knn`` with a floor against a sort of the dense distance matrix."""
+    full = pairwise_distances(PointSet.from_coords(queries), targets)
+    want = np.sort(full, axis=1)[:, :min(k, len(targets))]
+    nearest, radii, (qi, ti, d) = _knn(queries, targets, k, floor)
+    assert nearest.tobytes() == want.tobytes()
+    assert radii.tobytes() == np.maximum(want.mean(axis=1), floor).tobytes()
+    want_i, want_j = np.nonzero(full <= radii[:, None])
+    np.testing.assert_array_equal(qi, want_i)
+    np.testing.assert_array_equal(ti, want_j)
+    assert d.tobytes() == full[want_i, want_j].tobytes()
+
+
+class TestDensityAdaptivePass:
+    """The grid k-NN pass starts each disc from the occupancy of the cells
+    around the query and selects each row's k smallest in padded blocks."""
+
+    @pytest.mark.parametrize("profile", ["uniform", "gradient", "two_cluster"])
+    def test_about_k_distances_per_query(self, profile, monkeypatch):
+        # A start disc of the bounding-box distance plus two cells computed
+        # about 20 k distances per query on the two-cluster scene.
+        pred, gt = synth_pair(profile, 2000, 5)
+        assert len(gt) >= GRID_BACKEND_THRESHOLD
+        computed = []
+        real = geometry._distances
+
+        def counted(a, b):
+            d = real(a, b)
+            computed.append(d.size)
+            return d
+
+        k = 5
+        monkeypatch.setattr(geometry, "_distances", counted)
+        nearest = _knn(pred.coords, gt, k, DEFAULT_RADIUS_FLOOR)[0]
+        assert sum(computed) <= 10 * k * len(pred)
+        monkeypatch.undo()
+        want = np.sort(pairwise_distances(pred, gt), axis=1)[:, :k]
+        assert nearest.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("budget", [16, 64])
+    @settings(max_examples=60, deadline=None)
+    @given(case=neighbour_cases(), floor=st.sampled_from([1e-3, 0.5, 3.0, 50.0]))
+    def test_fused_pass_in_small_blocks(self, budget, case, floor):
+        # Selection blocks split and single rows overflow the budget.
+        queries, targets, radii, k = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "_SCAN_BLOCK_CELLS", budget)
+            TestFusedPass.assert_fused_equals_two_passes(queries, targets, k, floor)
+            TestGridEqualsFullScan.assert_grid_equals_full_scan(queries, targets, radii, k)
+
+    @pytest.mark.parametrize("budget", [16, 64])
+    def test_rows_longer_than_the_block_budget(self, budget, monkeypatch):
+        rng = np.random.default_rng(71)
+        gt = PointSet(np.vstack([np.full((200, 2), 40.0), rng.uniform(0, 80, (100, 2))]))
+        queries = np.vstack([[(40.0, 40.0), (40.5, 39.0)], rng.uniform(-10, 90, (60, 2))])
+        blocks = []
+        real = geometry._row_smallest
+
+        def spy(d, counts, kk):
+            blocks.append((int(counts.max(initial=0)), int(np.maximum(counts, kk).sum())))
+            return real(d, counts, kk)
+
+        monkeypatch.setattr(geometry, "_SCAN_BLOCK_CELLS", budget)
+        monkeypatch.setattr(geometry, "_row_smallest", spy)
+        for k in (1, 5, 8):
+            for floor in (1e-3, 6.0):
+                assert_knn_equals_dense(queries, gt, k, floor)
+        assert max(longest for longest, _ in blocks) > budget
+        assert max(cells for _, cells in blocks) > 2 * budget
+
+    @pytest.mark.filterwarnings("error")
+    def test_coincident_stack_doubles_from_a_tiny_start(self, monkeypatch):
+        # Next to a stack of 240 coincident targets the occupancy around a
+        # query is large, so its start disc is a fraction of a cell and has
+        # to double several times; far queries start past the bounding box.
+        rng = np.random.default_rng(70)
+        gt = PointSet(np.vstack([np.full((240, 2), 50.0), rng.uniform(0, 100, (60, 2))]))
+        queries = np.vstack([[(50.0, 50.0), (51.0, 50.5), (58.0, 56.0), (44.0, 61.0),
+                              (1e4, 1e4), (-5e3, 50.0), (50.0, 2e5), (-1e6, -1e6)],
+                             rng.uniform(-50, 150, (40, 2))])
+        rounds = []
+        real = geometry._UniformGrid.within
+
+        def spy(grid, q, r):
+            rounds.append(len(q))
+            return real(grid, q, r)
+
+        monkeypatch.setattr(geometry._UniformGrid, "within", spy)
+        _knn(queries[2:4], gt, 5)
+        assert len(rounds) >= 3
+        rounds.clear()
+        _knn(queries[4:8], gt, 5)
+        assert len(rounds) <= 2
+        for k in (1, 5, 8, 300):
+            for floor in (1e-3, 0.5, 20.0):
+                assert_knn_equals_dense(queries, gt, k, floor)
 
 
 class TestPairsWithin:

@@ -94,6 +94,21 @@ class TestKernelParams:
             k = synthesize_kernel(KernelParams(sigma=sigma, sx=sx, sy=sy), 3)
             assert np.isfinite(k.values).all()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scales", [(2e-154, 1.0), (1.0, 2e-154)])
+    def test_offset_terms_beyond_float_range(self, scales):
+        # The factors pass the rule, but every offset term off the kernel's
+        # centre line overflows: its coefficient is exp(-inf) = 0, and the
+        # centre line is the formula's value.
+        sx, sy = scales
+        params = KernelParams(sigma=1.0, sx=sx, sy=sy)
+        k = synthesize_kernel(params, 9).values
+        line = k[:, 4] if sx < sy else k[4, :]
+        assert not np.delete(k, 4, axis=1 if sx < sy else 0).any()
+        for i, value in enumerate(line):
+            u, v = (0, i - 4) if sx < sy else (i - 4, 0)
+            assert value == pytest.approx(eval_formula(params, u, v), rel=1e-12)
+
     def test_derived_widths(self):
         p = KernelParams(sigma=4.0, sx=0.5, sy=2.0)
         assert p.sigma_x == 2.0
