@@ -43,7 +43,6 @@ from .matching import (
     MatchConfig,
     MatchPair,
     MatchResult,
-    OutOfRadiusMode,
     SigmaMode,
     WeightMatrix,
     brute_force_match,
@@ -83,7 +82,6 @@ __all__ = [
     "MatchConfig",
     "MatchPair",
     "MatchResult",
-    "OutOfRadiusMode",
     "ParamField",
     "Point",
     "PointLabel",

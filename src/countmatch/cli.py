@@ -22,7 +22,7 @@ import sys
 import time
 import warnings
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -32,7 +32,7 @@ from . import densitymap, metrics, synth
 from .dynconv import FeatureMap, ParamField, dynamic_gaussian_conv, multiscale_forward
 from .geometry import PointLabel, PointSet
 from .kernels import KernelParams, kernel_gradients, synthesize_kernel
-from .matching import MatchConfig, OutOfRadiusMode, SigmaMode, match_points
+from .matching import MatchConfig, SigmaMode, match_points
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,7 +118,6 @@ def _match_config(args) -> MatchConfig:
         sigma_mode=SigmaMode(args.sigma_mode),
         sigma_value=args.sigma_value,
         radius_floor=args.radius_floor,
-        out_of_radius=OutOfRadiusMode(args.mode),
     )
 
 
@@ -133,9 +132,6 @@ def _add_match_flags(parser) -> None:
                         help="width in px (fixed) or radius factor (radius_scaled)")
     parser.add_argument("--radius-floor", type=float, default=default.radius_floor,
                         help="lower bound on adaptive radii, px")
-    parser.add_argument("--mode", choices=[m.value for m in OutOfRadiusMode],
-                        default=default.out_of_radius.value,
-                        help="treatment of pairs beyond the radius")
 
 
 def build_parser() -> _Parser:
@@ -148,7 +144,6 @@ def build_parser() -> _Parser:
     p.add_argument("gt", help="ground-truth coordinates (TXT)")
     _add_match_flags(p)
     p.add_argument("--out", help="write the full pair report to this file")
-    p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("eval", help="counting metrics over file pairs or a manifest")
     p.add_argument("files", nargs="*", help="pred gt [pred gt ...]")
@@ -159,7 +154,6 @@ def build_parser() -> _Parser:
     p.add_argument("--report-out", help="write machine-readable key:value report here")
     p.add_argument("--skip-missing", action="store_true",
                    help="skip unreadable pairs instead of aborting")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("kernel", help="dump a kernel (and optionally gradients) as CSV")
     p.add_argument("--sigma", type=float, default=2.0)
@@ -172,7 +166,6 @@ def build_parser() -> _Parser:
     p.add_argument("--gradients", action="store_true",
                    help="also dump the five gradient grids (requires --out)")
     p.add_argument("--out", help="output CSV path; stdout when omitted")
-    p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of kernel gradients")
     p.add_argument("--trials", type=int, default=50)
@@ -180,7 +173,6 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", type=float, default=1e-5)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="generate a synthetic scene")
     p.add_argument("--profile", choices=[m.value for m in synth.DensityProfile],
@@ -201,11 +193,9 @@ def build_parser() -> _Parser:
     p.add_argument("--density-out",
                    help="render a density map here (.csv for text, else binary)")
     p.add_argument("--render-sigma", type=float, default=2.0)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("bench", help="wall-clock timings for standard presets")
     p.add_argument("preset", choices=["match-small", "match-large", "conv"])
-    p.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -458,14 +448,21 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@cache
+def _parser() -> _Parser:
+    """The parser, built once per process: building costs far more than a parse."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Looked up at call time, so a wrapper later set on cli.cmd_<command> runs.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except (ValueError, OSError, MemoryError) as exc:   # a refused allocation is a data error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -228,12 +228,20 @@ def kernel_gradients(params: KernelParams, size: int) -> KernelGradients:
     u, v = _offset_grids(k.shape[0])
     ax = (u - params.dx) / params.sigma_x
     by = (v - params.dy) / params.sigma_y
-    ax2 = ax * ax
-    by2 = by * by
+    # A tiny axial scale overflows ax * ax, but only where K is already 0:
+    # those entries read 0 * inf = nan, and their gradient is 0. Zeros that
+    # are not nan keep their sign.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ax2 = ax * ax
+        by2 = by * by
+        d_sigma, d_sx, d_sy = (np.nan_to_num(g, nan=0.0) for g in (
+            k * (ax2 + by2 - 2.0) / params.sigma,
+            k * (ax2 - 1.0) / params.sx,
+            k * (by2 - 1.0) / params.sy))
     return KernelGradients(
-        d_sigma=k * (ax2 + by2 - 2.0) / params.sigma,
+        d_sigma=d_sigma,
         d_dx=k * (u - params.dx) / params.sigma_x ** 2,
         d_dy=k * (v - params.dy) / params.sigma_y ** 2,
-        d_sx=k * (ax2 - 1.0) / params.sx,
-        d_sy=k * (by2 - 1.0) / params.sy,
+        d_sx=d_sx,
+        d_sy=d_sy,
     )

@@ -1,35 +1,32 @@
 """Density-adaptive bipartite point matching.
 
 Pipeline: per-prediction adaptive radii (mean distance to the k nearest
-ground-truth points) -> Gaussian weights with per-row admissibility ->
-exact Hungarian assignment maximizing total weight -> stripping of
-inadmissible pairs. A prediction can therefore only claim a ground-truth
-point inside its own neighborhood scale, which is what prevents false
-matches in dense regions while keeping sparse regions matchable.
+ground-truth points) -> Gaussian weights of the pairs within each radius
+-> exact Hungarian assignment maximizing total weight over those pairs.
+A prediction can therefore only claim a ground-truth point inside its
+own neighborhood scale, which is what prevents false matches in dense
+regions while keeping sparse regions matchable.
 
 Edge contract: pair (i, j) is an *edge* when gt j lies within radius_i
 of prediction i and its Gaussian weight is positive (a weight that
 underflows to 0.0 is not an edge). Only edges are ever returned, so
 every returned weight lies in (0, 1].
 
-Under ``OutOfRadiusMode.FORBID`` (the default) a non-edge weighs 0 in
-the solve and is stripped afterwards, so only the edges matter. The
-matcher therefore never builds the dense n x m problem. It takes the
-edges from the pass that finds each prediction's k nearest: a radius is
-at most max(d_k, floor), so every edge lies in the full-scan block or
-grid disc that set the radius, and only rows whose floor exceeds that
-disc ask :func:`geometry.pairs_within`. Matchers given their radii
+That is the one out-of-radius rule: a non-edge weighs 0 and is never
+returned, so only the edges matter. The matcher therefore never builds
+the dense n x m problem. It takes the edges from the pass that finds
+each prediction's k nearest: a radius is at most max(d_k, floor), so
+every edge lies in the full-scan block or grid disc that set the radius,
+and only rows whose floor exceeds that disc ask
+:func:`geometry.pairs_within`. Matchers given their radii
 (:func:`match_with_radii`, :func:`fixed_radius_match`) find the edges
 with :func:`geometry.pairs_within`. Either way the matcher weights only
 the edges and solves one assignment over the edge list
 (:func:`assignment.max_weight_matching`), in which each prediction may
 stay unmatched at cost 0 against -weight for an edge. Time and memory
 follow the edges the augmenting paths touch, not the n x m cross
-product. ``OutOfRadiusMode.LINEAR_PENALTY`` gives non-edges negative
-weights that couple every pair, so it solves the dense
-:func:`build_weight_matrix` with one :func:`hungarian_solve`. That dense
-pair is also the reference the sparse path is tested against. Both
-solves run the one algorithm and tie rule of :mod:`countmatch.assignment`.
+product. The dense :func:`build_weight_matrix` remains for the oracle
+and as the reference the sparse path is tested against.
 
 A factorial brute-force matcher with identical semantics serves as the
 correctness oracle for small instances.
@@ -45,6 +42,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+# Unused here; kept because perfbench's tracer wraps matching.hungarian_solve.
 from .assignment import hungarian_solve, max_weight_matching
 from .geometry import (
     _SCAN_BLOCK_CELLS,
@@ -56,7 +54,6 @@ from .geometry import (
     all_radii,
     pairs_within,
     pairwise_distances,
-    require_finite_distances,
 )
 
 #: Default width factor for the radius-scaled Gaussian: sigma_i = 0.5 * radius_i.
@@ -73,24 +70,16 @@ class SigmaMode(Enum):
     RADIUS_SCALED = "radius_scaled"  # sigma_i = sigma_value * radius_i
 
 
-class OutOfRadiusMode(Enum):
-    """Treatment of pairs beyond the prediction's adaptive radius."""
-
-    FORBID = "forbid"                  # weight 0 in the solve, never returned
-    LINEAR_PENALTY = "linear_penalty"  # weight -D/D_max in the solve, never returned
-
-
 @dataclass(frozen=True)
 class MatchConfig:
     """Knobs of the adaptive matcher. Defaults follow the library-wide
     configuration: k = 5 neighbors, sigma_i = radius_i / 2, radius floor
-    1e-3 px, out-of-radius pairs forbidden."""
+    1e-3 px. Pairs beyond a prediction's radius are never edges."""
 
     k: int = DEFAULT_K
     sigma_mode: SigmaMode = SigmaMode.RADIUS_SCALED
     sigma_value: float = DEFAULT_SIGMA_FACTOR
     radius_floor: float = DEFAULT_RADIUS_FLOOR
-    out_of_radius: OutOfRadiusMode = OutOfRadiusMode.FORBID
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -107,9 +96,8 @@ class WeightMatrix:
 
     ``in_radius[i, j]`` marks the edges: pairs within prediction i's
     radius whose weight exp(-D_ij^2 / (2 sigma_i^2)) is positive.
-    ``values[i, j]`` is that weight on edges and the mode-dependent
-    placeholder (0 under FORBID, -D_ij/D_max under LINEAR_PENALTY)
-    elsewhere; either placeholder is strictly below every edge weight.
+    ``values[i, j]`` is that weight on edges and 0 elsewhere, strictly
+    below every edge weight.
     """
 
     values: np.ndarray
@@ -174,28 +162,20 @@ def build_weight_matrix(pred: PointSet, gt: PointSet, radii: RadiusProfile,
     rad = radii.radii[:, None]
     values = _gaussian(d, _sigma(rad, cfg))
     in_radius = (d <= rad) & (values > 0.0)
-    if cfg.out_of_radius is OutOfRadiusMode.FORBID:
-        values = np.where(in_radius, values, 0.0)
-    else:
-        d_max = float(d.max(initial=0.0))
-        require_finite_distances(d_max)
-        penalty = -d / d_max if d_max > 0 else np.zeros_like(d)
-        values = np.where(in_radius, values, penalty)
+    values = np.where(in_radius, values, 0.0)
     return WeightMatrix(values=values, in_radius=in_radius, distances=d)
 
 
 def match_points(pred: PointSet, gt: PointSet, cfg: MatchConfig = MatchConfig()) -> MatchResult:
     """Match predictions to ground truth with density-adaptive radii.
 
-    The assignment maximizes total admissible weight (solved as a cost
-    minimization on negated weights); pairs falling outside the
-    prediction's radius are stripped after the solve and both endpoints
-    reported unmatched. Output is deterministic. Either set may be empty.
+    The assignment maximizes total weight over the edges (solved as a
+    cost minimization on negated weights); a point on either side that
+    no chosen edge covers is reported unmatched. Output is deterministic.
+    Either set may be empty.
     """
     if len(pred) == 0 or len(gt) == 0:
         return _all_unmatched(len(pred), len(gt))
-    if cfg.out_of_radius is OutOfRadiusMode.LINEAR_PENALTY:
-        return match_with_radii(pred, gt, all_radii(pred, gt, cfg.k, cfg.radius_floor), cfg)
     _, radii, edges = _knn(pred.coords, gt, cfg.k, cfg.radius_floor)
     return _solve_edges(*edges, radii, cfg, len(pred), len(gt))
 
@@ -204,7 +184,7 @@ def fixed_radius_match(pred: PointSet, gt: PointSet, radius: float,
                        cfg: MatchConfig = MatchConfig()) -> MatchResult:
     """Baseline matcher: one global radius for every prediction.
 
-    Same weighting and stripping as :func:`match_points`, with the
+    Same weighting and edge rule as :func:`match_points`, with the
     adaptive profile replaced by a constant. Exists so the adaptive
     matcher can be compared against the fixed-threshold strategy it
     improves on.
@@ -219,22 +199,19 @@ def match_with_radii(pred: PointSet, gt: PointSet, radii: RadiusProfile,
                      cfg: MatchConfig = MatchConfig()) -> MatchResult:
     """Match with an explicit radius profile (one radius per prediction).
 
-    Under FORBID the edge list is solved by shortest augmenting paths;
-    under LINEAR_PENALTY the dense weight matrix is solved in one piece.
+    The in-radius edges are found by :func:`geometry.pairs_within` and
+    solved by shortest augmenting paths over the edge list.
     """
     n, m = len(pred), len(gt)
     if len(radii) != n:
         raise ValueError(f"radius profile length {len(radii)} does not match predictions {n}")
-    if cfg.out_of_radius is OutOfRadiusMode.LINEAR_PENALTY:
-        wm = build_weight_matrix(pred, gt, radii, cfg)
-        return _assemble_solved(wm, hungarian_solve(-wm.values).pairs)
     return _solve_edges(*pairs_within(pred, gt, radii.radii), radii.radii, cfg, n, m)
 
 
 def _solve_edges(pi: np.ndarray, gj: np.ndarray, d: np.ndarray, radii: np.ndarray,
                  cfg: MatchConfig, n: int, m: int) -> MatchResult:
-    """FORBID: weights of the in-radius pairs (pi, gj, d), ordered by
-    prediction then gt, one sparse solve over the edges, and the result."""
+    """Weights of the in-radius pairs (pi, gj, d), ordered by prediction
+    then gt, one sparse solve over the edges, and the result."""
     w = _gaussian(d, _sigma(radii[pi], cfg))
     edge = w > 0.0
     pi, gj, d, w = pi[edge], gj[edge], d[edge], w[edge]
@@ -249,7 +226,8 @@ def brute_force_match(pred: PointSet, gt: PointSet, cfg: MatchConfig = MatchConf
     Enumerates every injective mapping of the smaller side into the
     larger one, scores each with the same weight matrix the solver sees,
     and keeps the first maximizer in lexicographic enumeration order.
-    Stripping of out-of-radius pairs is identical to the solver path.
+    Non-edges weigh 0 there and are stripped from the result, so it
+    returns only edges, as the solver does.
     Mappings are scored in chunks of about ``geometry._SCAN_BLOCK_CELLS``
     entries, so memory stays bounded whatever the count.
     """

@@ -8,7 +8,7 @@ from scipy.optimize import linear_sum_assignment
 
 from countmatch.assignment import as_cost_matrix, hungarian_solve, max_weight_matching
 from countmatch.geometry import PointSet, all_radii, pairs_within
-from countmatch.matching import MatchConfig, OutOfRadiusMode, build_weight_matrix
+from countmatch.matching import MatchConfig, build_weight_matrix
 
 
 def brute_force_min(cost):
@@ -265,19 +265,18 @@ class TestGreedyStart:
         # Quantized scenes tie often, so pairs may differ between the two
         # starts; the optimum they reach may not.
         rng = np.random.default_rng(70)
-        forbid, penalty = MatchConfig(), MatchConfig(out_of_radius=OutOfRadiusMode.LINEAR_PENALTY)
         for _ in range(400):
             n, m = (int(x) for x in rng.integers(1, 41, 2))
             extent = rng.choice([4.0, 10.0, 30.0])
             pred = PointSet(np.round(rng.uniform(0, extent, (n, 2))))
             gt = PointSet(np.round(rng.uniform(0, extent, (m, 2))))
             radii = all_radii(pred, gt)
-            wm = build_weight_matrix(pred, gt, radii, forbid)
+            wm = build_weight_matrix(pred, gt, radii, MatchConfig())
             pi, gj = np.nonzero(wm.in_radius)
             w = wm.values[pi, gj]
             got = math.fsum(w[max_weight_matching(pi, gj, w, n, m)])
             assert got == math.fsum(w[all_rows_augmented_matching(pi, gj, w, n, m)])
-            cost = -build_weight_matrix(pred, gt, radii, penalty).values
+            cost = -wm.values  # the dense solve of the same scene, 0 off the edges
             cost = cost if n <= m else np.ascontiguousarray(cost.T)
             assert hungarian_solve(cost).total_cost == all_rows_augmented_solve(cost)[1]
 

@@ -111,20 +111,6 @@ class TestMatchCommand:
         assert err.startswith("error: a distance overflowed: the coordinates span "
                               "more than the float range")
 
-    @pytest.mark.filterwarnings("error")
-    def test_linear_penalty_distance_beyond_float_range_is_data_error(self, tmp_path, capsys):
-        # The far gt point is nobody's nearest neighbour at k = 1, so only
-        # the penalty's largest distance overflows.
-        far = 17 * 10 ** 307
-        pred = write(tmp_path / "p.txt", "0 0\n1 1\n")
-        gt = write(tmp_path / "g.txt", f"0 0\n2 2\n{far} {far}\n")
-        assert cli.main(["match", pred, gt, "--mode", "linear_penalty", "--k", "1"]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("error: a distance overflowed: the coordinates span "
-                              "more than the float range")
-        assert cli.main(["match", pred, gt, "--k", "1"]) == 0
-
     def test_coordinate_beyond_float_range_is_data_error(self, tmp_path, capsys):
         pred = write(tmp_path / "p.txt", "0 0\n" + "1" + "0" * 400 + " 0\n")
         gt = write(tmp_path / "g.txt", "1 1\n")
@@ -403,10 +389,36 @@ class TestExitCodeDiscipline:
         assert cli.main(["no-such-command"]) == 1
         assert cli.main([]) == 1
         assert cli.main(["match"]) == 1  # missing required positionals
+        assert capsys.readouterr().out == ""
+        # One out-of-radius rule: the flag that chose between two is gone.
+        for value in ("forbid", "linear_penalty"):
+            assert cli.main(["match", "a", "b", "--mode", value]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "unrecognized arguments" in captured.err
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         assert cli.main(["match", "--help"]) == 0
+
+
+class TestParserReuse:
+    # main builds its parser once per process and finds the handler by
+    # name at call time.
+    def test_calls_are_independent(self, capsys):
+        outputs = []
+        for size in ("3", "5", "3"):
+            assert cli.main(["kernel", "--size", size]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert [len(out.splitlines()) for out in outputs] == [3, 5, 3]
+        assert outputs[0] == outputs[2]
+
+    def test_handler_replaced_after_a_call_is_called(self, capsys, monkeypatch):
+        assert cli.main(["kernel", "--size", "3"]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_kernel", lambda args: seen.append(args.size) or 7)
+        assert cli.main(["kernel", "--size", "5"]) == 7
+        assert seen == [5]
 
 
 def _contract_files(tmp_path):
@@ -460,6 +472,8 @@ _CONTRACT_CASES = {
     "kernel-sy-tiny": (["kernel", "--sy", "1e-160"], 2),
     # Just inside the rule: the offset terms overflow to coefficients of 0.
     "kernel-sx-tiny-inside": (["kernel", "--sigma", "1", "--sx", "2e-154", "--size", "9"], 0),
+    "kernel-sx-tiny-inside-gradients": (["kernel", "--sigma", "1", "--sx", "2e-154", "--size",
+                                         "9", "--gradients", "--out", "{out}.csv"], 0),
     # 20 000 points a side: the grid path of the matcher, end to end.
     "very-large-files": (["match", "{pred_large}", "{gt_large}", "--out", "{out}"], 0),
 }

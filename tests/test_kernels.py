@@ -99,15 +99,30 @@ class TestKernelParams:
     def test_offset_terms_beyond_float_range(self, scales):
         # The factors pass the rule, but every offset term off the kernel's
         # centre line overflows: its coefficient is exp(-inf) = 0, and the
-        # centre line is the formula's value.
+        # centre line is the formula's value. The gradients are 0 off that
+        # line too (not 0 * inf), and the closed forms on it.
         sx, sy = scales
         params = KernelParams(sigma=1.0, sx=sx, sy=sy)
-        k = synthesize_kernel(params, 9).values
-        line = k[:, 4] if sx < sy else k[4, :]
-        assert not np.delete(k, 4, axis=1 if sx < sy else 0).any()
-        for i, value in enumerate(line):
-            u, v = (0, i - 4) if sx < sy else (i - 4, 0)
-            assert value == pytest.approx(eval_formula(params, u, v), rel=1e-12)
+        for size in (9, 17):
+            half = size // 2
+            k = synthesize_kernel(params, size).values
+            grads = kernel_gradients(params, size).as_dict()
+            axis = 1 if sx < sy else 0
+            for grid in (k, *grads.values()):
+                assert not np.delete(grid, half, axis=axis).any()
+            for i in range(size):
+                u, v = (0, i - half) if sx < sy else (i - half, 0)
+                at = (i, half) if sx < sy else (half, i)
+                value = eval_formula(params, u, v)
+                a, b = u / params.sigma_x, v / params.sigma_y
+                expected = {"sigma": value * (a * a + b * b - 2.0) / params.sigma,
+                            "dx": value * u / params.sigma_x ** 2,
+                            "dy": value * v / params.sigma_y ** 2,
+                            "sx": value * (a * a - 1.0) / sx,
+                            "sy": value * (b * b - 1.0) / sy}
+                assert k[at] == pytest.approx(value, rel=1e-12)
+                for name, grid in grads.items():
+                    assert grid[at] == pytest.approx(expected[name], rel=1e-12)
 
     def test_derived_widths(self):
         p = KernelParams(sigma=4.0, sx=0.5, sy=2.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -23,7 +24,6 @@ from countmatch.densitymap import render_density
 from countmatch.matching import (
     MatchConfig,
     MatchResult,
-    OutOfRadiusMode,
     SigmaMode,
     brute_force_match,
     build_weight_matrix,
@@ -146,22 +146,6 @@ class TestWeightMatrix:
         assert (wm.values[wm.in_radius] > 0).all()
         assert (wm.values[wm.in_radius] <= 1).all()
 
-    def test_penalty_mode_strictly_below_admissible(self):
-        rng = np.random.default_rng(4)
-        pred = PointSet(rng.uniform(0, 40, (7, 2)))
-        gt = PointSet(rng.uniform(0, 40, (7, 2)))
-        cfg = MatchConfig(out_of_radius=OutOfRadiusMode.LINEAR_PENALTY)
-        radii = all_radii(pred, gt, cfg.k, cfg.radius_floor)
-        wm = build_weight_matrix(pred, gt, radii, cfg)
-        out = ~wm.in_radius
-        if out.any():
-            assert wm.values[out].max() < wm.values[wm.in_radius].min()
-            # penalties preserve distance ordering: more distant is lower
-            d_out = wm.distances[out]
-            v_out = wm.values[out]
-            order = np.argsort(d_out)
-            assert (np.diff(v_out[order]) <= 1e-15).all()
-
     def test_misaligned_radii_rejected(self):
         pred = PointSet([(0, 0), (1, 1)])
         gt = PointSet([(0, 0)])
@@ -248,6 +232,15 @@ class TestMatchPoints:
         matched = {p.pred_index: p.gt_index for p in result.pairs}
         assert matched[near_idx] == len(dense) + 8
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowed_distance_outside_every_knn_set_is_no_edge(self):
+        # gt (1.7e308, 1.7e308) is nobody's nearest neighbour, so the radii
+        # are finite, but its distance from (0, 0) overflows to inf.
+        pred = PointSet([(0.0, 0.0), (1.0, 1.0)])
+        gt = PointSet([(0.0, 0.0), (2.0, 2.0), (1.7e308, 1.7e308)])
+        result = match_points(pred, gt, MatchConfig(k=1))
+        assert [(p.pred_index, p.gt_index) for p in result.pairs] == [(0, 0), (1, 1)]
+
     def test_fixed_radius_baseline(self):
         pred = PointSet([(0, 0), (10, 0)])
         gt = PointSet([(1, 0), (14, 0)])
@@ -314,54 +307,6 @@ class TestBruteForce:
             assert a.total_weight == pytest.approx(b.total_weight, abs=1e-9)
 
 
-class TestLinearPenaltyMode:
-    def test_solver_still_optimal_on_raw_objective(self):
-        # Under the penalty mode the Hungarian objective includes graded
-        # negative values for out-of-radius pairs; verify the solve against
-        # exhaustive enumeration of that raw objective.
-        rng = np.random.default_rng(13)
-        from countmatch.assignment import hungarian_solve
-        for _ in range(60):
-            pred, gt = random_instance(rng, max_side=6, extent=30.0)
-            cfg = MatchConfig(out_of_radius=OutOfRadiusMode.LINEAR_PENALTY)
-            radii = all_radii(pred, gt, cfg.k, cfg.radius_floor)
-            wm = build_weight_matrix(pred, gt, radii, cfg)
-            sol = hungarian_solve(-wm.values)
-            n, m = wm.values.shape
-            if n <= m:
-                best = max(math.fsum(wm.values[i, p[i]] for i in range(n))
-                           for p in itertools.permutations(range(m), n))
-            else:
-                best = max(math.fsum(wm.values[p[j], j] for j in range(m))
-                           for p in itertools.permutations(range(n), m))
-            assert -sol.total_cost == pytest.approx(best, abs=1e-9)
-
-    def test_pairs_still_within_radius(self):
-        # Returned pairs obey the same admissibility contract in both modes.
-        rng = np.random.default_rng(14)
-        cfg = MatchConfig(out_of_radius=OutOfRadiusMode.LINEAR_PENALTY)
-        for _ in range(30):
-            pred, gt = random_instance(rng, max_side=9, extent=25.0)
-            radii = all_radii(pred, gt, cfg.k, cfg.radius_floor)
-            result = match_points(pred, gt, cfg)
-            check_result_invariants(result, len(pred), len(gt))
-            for p in result.pairs:
-                assert p.distance <= radii.radii[p.pred_index] + 1e-12
-
-
-    @pytest.mark.filterwarnings("error")
-    def test_overflowed_distance_outside_every_knn_set(self):
-        # gt (1.7e308, 1.7e308) is nobody's nearest neighbour, so the radii
-        # are finite, but its distance from (0, 0) overflows to inf.
-        pred = PointSet([(0.0, 0.0), (1.0, 1.0)])
-        gt = PointSet([(0.0, 0.0), (2.0, 2.0), (1.7e308, 1.7e308)])
-        cfg = MatchConfig(k=1, out_of_radius=OutOfRadiusMode.LINEAR_PENALTY)
-        with pytest.raises(ValueError, match="a distance overflowed"):
-            match_points(pred, gt, cfg)
-        forbid = match_points(pred, gt, MatchConfig(k=1))
-        assert [(p.pred_index, p.gt_index) for p in forbid.pairs] == [(0, 0), (1, 1)]
-
-
 class TestMatchConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="invalid k"):
@@ -370,6 +315,12 @@ class TestMatchConfig:
             MatchConfig(sigma_value=-1.0)
         with pytest.raises(ValueError):
             MatchConfig(radius_floor=0.0)
+
+    def test_four_settable_fields(self):
+        assert [f.name for f in dataclasses.fields(MatchConfig)] == [
+            "k", "sigma_mode", "sigma_value", "radius_floor"]
+        with pytest.raises(TypeError):
+            MatchConfig(out_of_radius="forbid")
 
     def test_fixed_sigma_mode(self):
         pred = PointSet([(0, 0)])
@@ -386,9 +337,8 @@ class TestUnderflowedWeights:
     GT = PointSet([(40, 0)])
     RADII = RadiusProfile(np.array([50.0]), k=1)
 
-    @pytest.mark.parametrize("mode", list(OutOfRadiusMode))
-    def test_zero_weight_pair_is_not_an_edge(self, mode):
-        cfg = MatchConfig(sigma_mode=SigmaMode.FIXED, sigma_value=1.0, out_of_radius=mode)
+    def test_zero_weight_pair_is_not_an_edge(self):
+        cfg = MatchConfig(sigma_mode=SigmaMode.FIXED, sigma_value=1.0)
         wm = build_weight_matrix(self.PRED, self.GT, self.RADII, cfg)
         assert not wm.in_radius.any()
         for result in (match_with_radii(self.PRED, self.GT, self.RADII, cfg),
@@ -409,7 +359,7 @@ class TestUnderflowedWeights:
 class TestSparsePath:
     def test_forbid_never_builds_the_dense_matrix(self, monkeypatch):
         def dense(*args, **kwargs):
-            raise AssertionError("dense weight matrix built under FORBID")
+            raise AssertionError("dense weight matrix built by the matcher")
 
         monkeypatch.setattr(matching, "build_weight_matrix", dense)
         monkeypatch.setattr(matching, "pairwise_distances", dense)
@@ -648,11 +598,10 @@ class TestEmptyInputs:
         return (PointSet([(i, 0.5 * i) for i in range(n)]),
                 PointSet([(i + 0.25, i) for i in range(m)]))
 
-    @pytest.mark.parametrize("mode", list(OutOfRadiusMode))
     @pytest.mark.parametrize("n, m", _EMPTY_SHAPES)
-    def test_every_matcher_leaves_everything_unmatched(self, n, m, mode):
+    def test_every_matcher_leaves_everything_unmatched(self, n, m):
         pred, gt = self._sets(n, m)
-        cfg = MatchConfig(out_of_radius=mode)
+        cfg = MatchConfig()
         radii = RadiusProfile(np.full(n, 2.0), k=cfg.k)
         expected = MatchResult(pairs=(), unmatched_pred=tuple(range(n)),
                                unmatched_gt=tuple(range(m)), total_weight=0.0)
@@ -662,12 +611,10 @@ class TestEmptyInputs:
         assert brute_force_match(pred, gt, cfg) == expected
         assert brute_force_match(pred, gt, cfg, radii=radii) == expected
 
-    @pytest.mark.parametrize("mode", list(OutOfRadiusMode))
     @pytest.mark.parametrize("n, m", _EMPTY_SHAPES)
-    def test_weight_matrix_shapes(self, n, m, mode):
+    def test_weight_matrix_shapes(self, n, m):
         pred, gt = self._sets(n, m)
-        wm = build_weight_matrix(pred, gt, RadiusProfile(np.full(n, 2.0), k=1),
-                                 MatchConfig(out_of_radius=mode))
+        wm = build_weight_matrix(pred, gt, RadiusProfile(np.full(n, 2.0), k=1), MatchConfig())
         for arr in (wm.values, wm.in_radius, wm.distances):
             assert arr.shape == (n, m)
         assert wm.values.dtype == wm.distances.dtype == np.float64
@@ -735,9 +682,6 @@ def _tied_instance(rng, n, m):
     return pred, gt
 
 
-_BOTH_MODES = [MatchConfig(), MatchConfig(out_of_radius=OutOfRadiusMode.LINEAR_PENALTY)]
-
-
 @pytest.mark.filterwarnings("error")
 class TestOracleEnumeration:
     @staticmethod
@@ -760,8 +704,7 @@ class TestOracleEnumeration:
         shapes += [tuple(int(x) for x in rng.integers(1, 6, 2)) for _ in range(60)]
         for n, m in shapes:
             pred, gt = _tied_instance(rng, n, m)
-            for cfg in _BOTH_MODES:
-                self.check_equal(pred, gt, cfg)
+            self.check_equal(pred, gt, MatchConfig())
 
     def test_real_budget_over_several_chunks(self):
         # 4 x 18 is 73 440 mappings, 5 chunks of 16 384; coincident gt
@@ -797,13 +740,10 @@ class TestPairOrder:
             n, m = (int(x) for x in rng.integers(1, 7, 2))
             pred, gt = _tied_instance(rng, n, m)
             radii = RadiusProfile(rng.choice([1.0, 2.0, 4.0], n), k=1)
-            for cfg in _BOTH_MODES:
-                for result in (match_points(pred, gt, cfg),
-                               brute_force_match(pred, gt, cfg),
-                               match_with_radii(pred, gt, radii, cfg),
-                               fixed_radius_match(pred, gt, 2.5, cfg)):
-                    order = [p.pred_index for p in result.pairs]
-                    assert order == sorted(order)
+            for result in (match_points(pred, gt), brute_force_match(pred, gt),
+                           match_with_radii(pred, gt, radii), fixed_radius_match(pred, gt, 2.5)):
+                order = [p.pred_index for p in result.pairs]
+                assert order == sorted(order)
 
     def test_oracle_with_more_predictions_than_gt(self):
         pred = PointSet([(9.0, 0.0), (5.0, 0.0), (1.0, 0.0)])
