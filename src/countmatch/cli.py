@@ -2,8 +2,12 @@
 
 Coordinate files are plain text: one point per line as two non-negative
 integers separated by a single space, newline-terminated ("x y"), in
-file order. Parsing is strict (a malformed line reports its number) and
-serialization of non-integer coordinates rounds half away from zero with
+file order. Lines may end in LF, CRLF or CR, and the last one may lack
+its line break. Parsing reads the whole file as arrays and is strict:
+the first bad line in file order reports its number, whether it is not
+ASCII, malformed (a blank line is), or holds a value beyond the float
+range. Leading zeros are allowed and add nothing, at any length.
+Serialization of non-integer coordinates rounds half away from zero with
 a warning, so integer round-trips are byte-identical.
 
 Subcommands: match, eval, kernel, gradcheck, synth, bench. Exit codes:
@@ -17,7 +21,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
 import time
 import warnings
@@ -38,36 +41,78 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-_COORD_LINE = re.compile(r"^(\d+) (\d+)$")
-
-
-def _text_lines(path, encoding: str):
-    """(lineno, line) for each line of ``path``, split at LF, CRLF and CR
-    as text mode splits. A line that does not decode raises ValueError
-    naming the path and line."""
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        try:
-            line = raw.decode(encoding)
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}:{lineno}: not {encoding.upper()} text") from None
-        yield lineno, line
+# Byte classes of a coordinate file. Digits are 0, so the other bytes
+# are the field ends; a CR has become an LF before the classes are read.
+_SPACE, _LF, _OTHER = 1, 2, 3
+_BYTE_CLASS = np.full(256, _OTHER, np.uint8)
+_BYTE_CLASS[ord("0"):ord("9") + 1] = 0
+_BYTE_CLASS[ord(" ")] = _SPACE
+_BYTE_CLASS[ord("\n")] = _LF
+# Fields of at most 15 digits are below 10**15 < 2**53: exact in int64 and float64.
+_INT_DIGITS = 15
+# A value of more significant digits is at least 10**309, beyond the float range.
+_FLOAT_DIGITS = 309
 
 
 def parse_coord_file(path, label: PointLabel = PointLabel.UNLABELED) -> PointSet:
-    """Read a coordinate TXT file. An empty file is an empty set."""
-    pts = []
-    for lineno, line in _text_lines(path, "ascii"):
-        m = _COORD_LINE.match(line)
-        if not m:
-            raise ValueError(f"{path}:{lineno}: malformed coordinate line: {line!r}")
+    """Read a coordinate TXT file. An empty file is an empty set.
+
+    The whole file is checked and converted as arrays. Lines end at LF,
+    CRLF or CR, as ``bytes.splitlines`` splits, and a final line break
+    adds no line. The first bad line in file order raises ValueError
+    naming the path and line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # Same lines as bytes.splitlines, each ended by one LF.
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, np.uint8)
+    # Good lines are digits, space, digits, LF: the field ends alternate
+    # space and LF, and each follows at least one digit.
+    classes = _BYTE_CLASS.take(buf)
+    ends = np.flatnonzero(classes)
+    lengths = ends - np.concatenate(([-1], ends[:-1])) - 1
+    found = classes.take(ends)
+    bad = lengths == 0
+    bad[0::2] |= found[0::2] != _SPACE
+    bad[1::2] |= found[1::2] != _LF
+    if not bad.any():
+        return PointSet.from_coords(_coordinates(path, data, buf, ends, lengths), label=label)
+    # The first bad field end lies in the first bad line.
+    at = int(ends[bad.argmax()])
+    start = data.rfind(b"\n", 0, at) + 1
+    line = data[start:data.index(b"\n", at)]
+    lineno = data.count(b"\n", 0, start) + 1
+    fields = 2 * (lineno - 1)   # the good lines before it may still overflow
+    _coordinates(path, data, buf, ends[:fields], lengths[:fields])
+    try:
+        text = line.decode("ascii")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}:{lineno}: not ASCII text") from None
+    raise ValueError(f"{path}:{lineno}: malformed coordinate line: {text!r}")
+
+
+def _coordinates(path, data: bytes, buf, ends, lengths) -> np.ndarray:
+    """(n, 2) float64 values of the digit fields ending before ``ends``,
+    exactly as ``float(int(field))`` reads each of them."""
+    values = np.zeros(len(ends), np.int64)
+    for place in range(min(int(lengths.max(initial=0)), _INT_DIGITS), 0, -1):
+        digit = buf.take(ends - place, mode="clip").astype(np.int64) - ord("0")
+        values = values * 10 + np.where(lengths >= place, digit, 0)
+    values = values.astype(np.float64)
+    for f in np.flatnonzero(lengths > _INT_DIGITS).tolist():
+        # Leading zeros add nothing; Python's int refuses 4 300 digits.
+        significant = data[ends[f] - lengths[f]:ends[f]].lstrip(b"0")
         try:
-            pts.append((float(int(m.group(1))), float(int(m.group(2)))))
+            if len(significant) > _FLOAT_DIGITS:
+                raise OverflowError
+            values[f] = float(int(significant or b"0"))
         except OverflowError:
-            raise ValueError(f"{path}:{lineno}: coordinate out of float range "
+            raise ValueError(f"{path}:{f // 2 + 1}: coordinate out of float range "
                              "(about 1.8e308)") from None
-    return PointSet(pts, label=label)
+    return values.reshape(-1, 2)
 
 
 def serialize_coord_file(points: PointSet, path, quantize: bool = False) -> None:
@@ -77,26 +122,25 @@ def serialize_coord_file(points: PointSet, path, quantize: bool = False) -> None
     away from zero. That rounding warns unless ``quantize`` acknowledges
     it (callers generating continuous points on purpose pass True).
     """
-    lines = []
-    rounded_any = False
-    for x, y in points.coords.tolist():
-        rx, ry = _round_half_away(x), _round_half_away(y)
-        if rx != x or ry != y:
-            rounded_any = True
-        if rx < 0 or ry < 0:
-            raise ValueError(f"cannot serialize negative coordinate ({x}, {y})")
-        lines.append(f"{rx} {ry}\n")
-    if rounded_any and not quantize:
+    coords = points.coords
+    whole = np.floor(np.abs(coords))
+    # |x| - floor(|x|) is exact (and 0 from 2**52 up, where every float is
+    # an integer), where |x| + 0.5 would round above 2**52.
+    rounded = np.copysign(whole + (np.abs(coords) - whole >= 0.5), coords)
+    negative = rounded < 0
+    if negative.any():
+        x, y = coords[negative.any(axis=1).argmax()].tolist()
+        raise ValueError(f"cannot serialize negative coordinate ({x}, {y})")
+    if not quantize and (rounded != coords).any():
         warnings.warn("non-integer coordinates rounded half away from zero "
                       f"while writing {path}", stacklevel=2)
+    # int64 holds every value below 2**53; Python's int writes the rest.
+    big = whole >= 2.0 ** 53
+    values = np.where(big, 0, rounded).astype(np.int64).ravel().tolist()
+    for i in np.flatnonzero(big).tolist():
+        values[i] = int(rounded.flat[i])
     with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(lines)
-
-
-def _round_half_away(value: float) -> int:
-    # |value| - floor(|value|) is exact; |value| + 0.5 rounds above 2**52.
-    whole = math.floor(abs(value))
-    return (whole + (abs(value) - whole >= 0.5)) * (1 if value >= 0 else -1)
+        fh.write(("%d %d\n" * len(coords)) % tuple(values))
 
 
 def _fmt(x: float) -> str:
@@ -231,7 +275,13 @@ def _format_match_report(result) -> str:
 def _eval_pairs(args) -> list[tuple[str, str]]:
     pairs: list[tuple[str, str]] = []
     if args.manifest:
-        for lineno, line in _text_lines(args.manifest, "utf-8"):
+        with open(args.manifest, "rb") as fh:
+            lines = fh.read().splitlines()
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{args.manifest}:{lineno}: not UTF-8 text") from None
             if not line:
                 continue
             parts = line.split("\t")

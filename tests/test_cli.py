@@ -1,5 +1,7 @@
 import hashlib
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from countmatch import cli
-from countmatch.geometry import PointSet
+from countmatch.geometry import PointLabel, PointSet
 from countmatch.matching import MatchConfig, match_points
 from countmatch.synth import DensityProfile
 
@@ -15,6 +17,78 @@ from countmatch.synth import DensityProfile
 def write(path, text):
     path.write_text(text, encoding="ascii")
     return str(path)
+
+
+# The per-line parser and writer that the array code replaced, kept as
+# references for the differential tests below.
+_COORD_LINE = re.compile(r"^(\d+) (\d+)$")
+
+
+def _reference_lines(path, encoding: str):
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode(encoding)
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}:{lineno}: not {encoding.upper()} text") from None
+        yield lineno, line
+
+
+def _reference_parse(path, label: PointLabel = PointLabel.UNLABELED) -> PointSet:
+    pts = []
+    for lineno, line in _reference_lines(path, "ascii"):
+        m = _COORD_LINE.match(line)
+        if not m:
+            raise ValueError(f"{path}:{lineno}: malformed coordinate line: {line!r}")
+        try:
+            pts.append((float(int(m.group(1))), float(int(m.group(2)))))
+        except OverflowError:
+            raise ValueError(f"{path}:{lineno}: coordinate out of float range "
+                             "(about 1.8e308)") from None
+    return PointSet(pts, label=label)
+
+
+def _reference_serialize(points: PointSet, path, quantize: bool = False) -> None:
+    lines = []
+    rounded_any = False
+    for x, y in points.coords.tolist():
+        rx, ry = _round_half_away(x), _round_half_away(y)
+        if rx != x or ry != y:
+            rounded_any = True
+        if rx < 0 or ry < 0:
+            raise ValueError(f"cannot serialize negative coordinate ({x}, {y})")
+        lines.append(f"{rx} {ry}\n")
+    if rounded_any and not quantize:
+        warnings.warn("non-integer coordinates rounded half away from zero "
+                      f"while writing {path}", stacklevel=2)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(lines)
+
+
+def _round_half_away(value: float) -> int:
+    # |value| - floor(|value|) is exact; |value| + 0.5 rounds above 2**52.
+    whole = math.floor(abs(value))
+    return (whole + (abs(value) - whole >= 0.5)) * (1 if value >= 0 else -1)
+
+
+# Bytes that a coordinate file may or may not hold, and digit runs of the
+# lengths where the conversion changes: 15 digits fit int64 exactly, 16
+# and 17 may round, 19 may overflow int64, 310 significant digits are
+# beyond the float range (the reference's int refuses more than 4 300).
+_COORD_BYTES = [b"0", b"7", b" ", b"\n", b"\r", b"\t", b"\x0c", b"-", b"a", b"\x80", b"\xff"]
+_digit_runs = st.sampled_from([1, 2, 3, 14, 15, 16, 17, 19, 309, 310, 330]).flatmap(
+    lambda n: st.integers(0, 10 ** n - 1).map(lambda v: str(v).zfill(n).encode()))
+_coord_lines = st.tuples(_digit_runs, _digit_runs,
+                         st.sampled_from([b"\n", b"\r\n", b"\r", b""]),
+                         st.sampled_from([b" ", b" ", b" ", b"  ", b"\t", b"\xff "])
+                         ).map(lambda t: t[0] + t[3] + t[1] + t[2])
+_coord_values = st.one_of(
+    st.integers(0, 10 ** 6).map(float),
+    st.integers(-3, 2 ** 54).map(lambda i: i / 2),
+    st.floats(-1.0, 1e6),
+    st.floats(2.0 ** 52, 1e300),
+)
 
 
 class TestCoordFileFormat:
@@ -59,6 +133,96 @@ class TestCoordFileFormat:
     def test_negative_coordinate_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="negative"):
             cli.serialize_coord_file(PointSet([(-3.0, 1.0)]), tmp_path / "n.txt")
+
+    @pytest.mark.parametrize("data, expected", [
+        (b"1 2\r3 4\r", [(1, 2), (3, 4)]),
+        (b"1 2\r\n3 4\r\n", [(1, 2), (3, 4)]),
+        (b"1 2\n3 4\r\n5 6\r7 8\n", [(1, 2), (3, 4), (5, 6), (7, 8)]),
+        (b"1 2\n3 4", [(1, 2), (3, 4)]),
+        (b"007 3\n", [(7, 3)]),
+        (b"999999999999999 9007199254740993\n",
+         [(999999999999999, float(int("9007199254740993")))]),
+    ], ids=["cr", "crlf", "mixed", "no-final-newline", "leading-zeros", "15-16-digits"])
+    def test_line_ends_and_fields(self, tmp_path, data, expected):
+        path = tmp_path / "f.txt"
+        path.write_bytes(data)
+        assert cli.parse_coord_file(path).coords.tolist() == [list(p) for p in expected]
+
+    @pytest.mark.parametrize("data, message", [
+        (b"1 2\n\n", r"f\.txt:2: malformed coordinate line: ''$"),
+        (b"1 2\r\n\r\n", r"f\.txt:2: malformed coordinate line: ''$"),
+        (b"1 2\x0c", r"f\.txt:1: malformed coordinate line: '1 2\\x0c'$"),
+    ], ids=["trailing-blank-line", "trailing-blank-crlf", "form-feed-is-no-line-end"])
+    def test_malformed_at_its_number(self, tmp_path, data, message):
+        path = tmp_path / "f.txt"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=message):
+            cli.parse_coord_file(path)
+
+    def test_first_bad_line_whatever_its_kind(self, tmp_path):
+        # A long out-of-range field before a malformed line, and a
+        # malformed line before a non-ASCII one: the earlier line is named.
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"1 2\n" + b"9" * 400 + b" 1\n1,2\n")
+        with pytest.raises(ValueError, match=r"f\.txt:2: coordinate out of float range"):
+            cli.parse_coord_file(path)
+        path.write_bytes(b"1 2\n1,2\n" + b"9" * 400 + b" \xff\n")
+        with pytest.raises(ValueError, match=r"f\.txt:2: malformed coordinate line: '1,2'$"):
+            cli.parse_coord_file(path)
+
+    @pytest.mark.parametrize("digits", [4301, 5000])
+    def test_fields_beyond_the_int_digit_limit(self, tmp_path, digits):
+        # Python's int refuses strings of more than 4 300 digits.
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"0" * digits + b"1 " + b"0" * digits + b"\n")
+        assert cli.parse_coord_file(path).coords.tolist() == [[1.0, 0.0]]
+        path.write_bytes(b"1 1\n2 " + b"1" * digits + b"\n")
+        with pytest.raises(ValueError, match=r"f\.txt:2: coordinate out of float range "
+                                             r"\(about 1\.8e308\)$"):
+            cli.parse_coord_file(path)
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(
+        st.lists(st.one_of(st.sampled_from(_COORD_BYTES), _digit_runs), max_size=24),
+        st.lists(_coord_lines, max_size=12)).map(b"".join))
+    @example(data=b"0" * 300 + b"1 " + b"7" * 310 + b"\r\n")
+    @example(data=b"9999999999999999999 12345678901234567\n")
+    def test_parse_equals_line_loop(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("diff") / "f.txt"
+        path.write_bytes(data)
+        try:
+            expected = _reference_parse(path).coords
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                cli.parse_coord_file(path)
+            assert str(got.value) == str(exc)
+        else:
+            coords = cli.parse_coord_file(path).coords
+            assert coords.shape == expected.shape
+            assert coords.tobytes() == expected.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(points=st.lists(st.tuples(_coord_values, _coord_values), max_size=20),
+           quantize=st.booleans())
+    @example(points=[(2.0 ** 53 - 0.5, 2.0 ** 70), (-0.4, 0.5)], quantize=False)
+    @example(points=[(1.0, 2.5), (-0.5, 3.0)], quantize=False)
+    @example(points=[(2.0 ** 63, 2.0 ** 64 - 2 ** 11)], quantize=True)
+    def test_serialize_equals_line_loop(self, tmp_path_factory, points, quantize):
+        folder = tmp_path_factory.mktemp("ser")
+        pts = PointSet(points)
+        outcomes = []
+        for write, name in ((cli.serialize_coord_file, "new.txt"),
+                            (_reference_serialize, "ref.txt")):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    write(pts, folder / name, quantize=quantize)
+                    written = (folder / name).read_bytes()
+                except ValueError as exc:
+                    written = str(exc)
+            outcomes.append((written, [str(w.message).replace(name, "") for w in caught]))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestMatchCommand:
@@ -428,6 +592,10 @@ def _contract_files(tmp_path):
         "crlf": b"1 1\r\n5 5\r\n9 1\r\n",
         "good": b"1 1\n5 5\n9 1\n",
         "non_ascii": "\u00e9 1\n\u4e2d 2\n".encode("utf-8"),
+        # Beyond Python's 4 300-digit int limit: a leading-zero field
+        # is 1, and 5 000 significant digits are beyond the float range.
+        "leading_zeros": b"0" * 5000 + b"1 1\n5 5\n",
+        "too_many_digits": b"1 1\n" + b"1" * 5000 + b" 1\n",
     }
     paths = {}
     for name, data in files.items():
@@ -453,6 +621,8 @@ _CONTRACT_CASES = {
     "crlf": (["match", "{crlf}", "{good}"], 0),  # text mode reads CRLF as LF
     "non-ascii-match": (["match", "{non_ascii}", "{good}"], 2),
     "non-ascii-eval": (["eval", "{good}", "{non_ascii}"], 2),
+    "leading-zeros-5000": (["match", "{leading_zeros}", "{good}"], 0),
+    "digits-5000": (["match", "{too_many_digits}", "{good}"], 2),
     "k-0": (["match", "{good}", "{good}", "--k", "0"], 2),
     "sigma-nan": (["match", "{good}", "{good}", "--sigma-value", "nan"], 2),
     "manifest-missing": (["eval", "--manifest", "{manifest}"], 2),
