@@ -88,7 +88,9 @@ def render_density(points: PointSet, sigma: float, height: int, width: int) -> D
     for bit as adding one point's tile at a time. A block holds about
     ``geometry._SCAN_BLOCK_CELLS`` tile cells, so memory stays O(map + block).
     """
-    if not (sigma > 0 and math.isfinite(sigma)):
+    # 8 sigma and 1 / (2 sigma^2), so 1 / (2 pi sigma^2), must be finite.
+    if not (sigma > 0 and math.isfinite(RENDER_WINDOW_SIGMAS * sigma)
+            and 2.0 * sigma * sigma > 0 and math.isfinite(1.0 / (2.0 * sigma * sigma))):
         raise ValueError("invalid sigma")
     if height < 1 or width < 1:
         raise ValueError("map dimensions must be positive")

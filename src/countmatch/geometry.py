@@ -79,7 +79,7 @@ class PointSet:
     available through :attr:`coords`.
     """
 
-    __slots__ = ("_coords", "_label", "_grid")
+    __slots__ = ("_coords", "_label")
 
     def __init__(self, points: Iterable[PointLike] = (), label: PointLabel = PointLabel.UNLABELED):
         rows = []
@@ -105,7 +105,6 @@ class PointSet:
         coords.setflags(write=False)
         self._coords = coords
         self._label = label
-        self._grid = None
 
     @property
     def coords(self) -> np.ndarray:
@@ -128,13 +127,6 @@ class PointSet:
 
     def __repr__(self) -> str:
         return f"PointSet(n={len(self)}, label={self._label.value})"
-
-    def _index(self) -> "_UniformGrid":
-        # Lazily built and cached; the set is immutable so this is safe to
-        # race (worst case the grid is built twice).
-        if self._grid is None:
-            self._grid = _UniformGrid(self._coords)
-        return self._grid
 
 
 @dataclass(frozen=True)
@@ -347,18 +339,18 @@ def _knn(queries: np.ndarray, targets: PointSet, k: int, floor: Optional[float] 
     against every target in bounded blocks. At or above it each query
     asks the grid for a disc that starts at the distance to the cloud's
     bounding box plus :meth:`_UniformGrid.start_radii`, a radius read
-    from the occupancy of the cells around the query, and doubles until
-    it holds k targets; a disc holding k targets contains the k nearest,
-    so the result is exact. Each row's k smallest are selected by
-    :func:`_row_smallest`. Memory is O(len(queries) * k + block + edges).
+    from the occupancy of the cells around the query, or at the floor if
+    that is larger, and doubles until it holds k targets; a disc holding
+    k targets contains the k nearest, so the result is exact. Each row's
+    k smallest are selected by :func:`_row_smallest`. Memory is
+    O(len(queries) * k + block + edges).
 
     Returns ``(nearest, radii, edges)``. Given a ``floor``, ``radii`` are
     the adaptive radii ``_radius(nearest, floor)`` and ``edges`` is what
     :func:`pairs_within` returns for them, both from the same pass: a
-    radius is at most max(d_k, floor), so every pair within it lies in
-    the scanned block or in the disc that completed the row. Only rows
-    whose floor exceeds that disc go to :func:`pairs_within`. Without a
-    floor both are None.
+    radius is at most max(d_k, floor), and a row completes only in a
+    disc that holds its radius, so every pair within it lies in the
+    scanned block or in that disc. Without a floor both are None.
     """
     if k < 1:
         raise ValueError("invalid k")
@@ -378,13 +370,14 @@ def _knn(queries: np.ndarray, targets: PointSet, k: int, floor: Optional[float] 
                 qi, ti = np.nonzero(d <= reach[:, None])
                 parts.append((qi + s, ti, d[qi, ti]))
     else:
-        grid = targets._index()
+        grid = _UniformGrid(targets.coords)
         # A start or doubled radius beyond the float range is inf: that
         # disc holds the whole cloud.
         disc = _distances(queries, np.clip(queries, grid.origin, grid.top)) \
             + grid.start_radii(queries, kk)
+        if floor is not None:
+            disc = np.maximum(disc, floor)
         todo = np.arange(len(queries))
-        wide = [todo[:0]]         # rows whose floor exceeds their final disc
         while todo.size:
             short = [todo[:0]]
             for chunk, qi, ti, d in grid.within(queries.take(todo, axis=0), disc.take(todo)):
@@ -392,22 +385,22 @@ def _knn(queries: np.ndarray, targets: PointSet, k: int, floor: Optional[float] 
                 counts = np.bincount(qi, minlength=chunk.stop - chunk.start)
                 full = counts >= kk
                 rows = todo[chunk]
-                out[rows[full]] = nearest = _row_smallest(d, counts, kk)[full]
-                short.append(rows[~full])
+                nearest = _row_smallest(d, counts, kk)
                 if floor is not None:
-                    reach = np.full(len(rows), -1.0)   # a row not yet full has no edge
-                    radii[rows[full]] = reach[full] = _radius(nearest, floor)
-                    over = reach > disc.take(rows)
-                    wide.append(rows[over])
-                    keep = d <= np.where(over, -1.0, reach).take(qi)
+                    reach = np.full(len(rows), -1.0)   # a row not yet done has no edge
+                    reach[full] = _radius(nearest[full], floor)
+                    # A mean can round up past d_k, and so past a disc
+                    # holding d_k; that row takes another round.
+                    reach[reach > disc.take(rows)] = -1.0
+                    full = reach > 0
+                    radii[rows[full]] = reach[full]
+                    keep = d <= reach.take(qi)
                     parts.append((rows.take(qi[keep]), ti[keep], d[keep]))
+                out[rows[full]] = nearest[full]
+                short.append(rows[~full])
             todo = np.concatenate(short)
             with np.errstate(over="ignore"):
                 disc[todo] *= 2
-        wide = np.concatenate(wide)
-        if wide.size:             # only with a floor
-            qi, ti, d = pairs_within(PointSet.from_coords(queries[wide]), targets, radii[wide])
-            parts.append((wide[qi], ti, d))
     if floor is None:
         return out, None, None
     qi, ti, d = (np.concatenate(c) for c in zip(*parts))
@@ -519,7 +512,7 @@ def pairs_within(queries: PointSet, targets: PointSet,
             qi, ti = np.nonzero(d <= radii[s:s + len(d), None])
             parts.append((qi + s, ti, d[qi, ti]))
     else:
-        for _, qi, ti, d in targets._index().within(qc, radii):
+        for _, qi, ti, d in _UniformGrid(tc).within(qc, radii):
             order = np.lexsort((ti, qi))
             parts.append((qi[order], ti[order], d[order]))
     return tuple(np.concatenate(col) for col in zip(*parts))

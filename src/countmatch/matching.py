@@ -15,10 +15,10 @@ every returned weight lies in (0, 1].
 That is the one out-of-radius rule: a non-edge weighs 0 and is never
 returned, so only the edges matter. The matcher therefore never builds
 the dense n x m problem. It takes the edges from the pass that finds
-each prediction's k nearest: a radius is at most max(d_k, floor), so
-every edge lies in the full-scan block or grid disc that set the radius,
-and only rows whose floor exceeds that disc ask
-:func:`geometry.pairs_within`. Matchers given their radii
+each prediction's k nearest: a radius is at most max(d_k, floor), and
+a grid disc starts at the floor and completes a row only once it holds
+the row's radius, so every edge lies in the full-scan block or grid disc
+that set the radius. Matchers given their radii
 (:func:`match_with_radii`, :func:`fixed_radius_match`) find the edges
 with :func:`geometry.pairs_within`. Either way the matcher weights only
 the edges and solves one assignment over the edge list

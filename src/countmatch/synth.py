@@ -15,6 +15,7 @@ for Poisson counts. No global RNG state is touched.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -115,8 +116,8 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError("scene dimensions must be positive")
+        if not all(1 <= s <= sys.float_info.max for s in (self.width, self.height)):
+            raise ValueError("scene dimensions must be positive and within the float range")
         if self.n_points < 0:
             raise ValueError("n_points must be non-negative")
         if not (self.jitter >= 0 and math.isfinite(self.jitter)):
@@ -270,9 +271,9 @@ def sample_separated(n: int, width: float, height: float, min_separation: float,
     requested packing cannot be met within the attempt budget.
 
     Placed points are kept in a background grid (Bridson 2007) of cells
-    of side ``min_separation / sqrt(2)``, so a candidate is compared only
-    with the points of the 5 x 5 block of cells around its own: every
-    point closer than ``min_separation`` lies in that block.
+    of side at least ``min_separation / sqrt(2)``, so a candidate is
+    compared only with the points of the 5 x 5 block of cells around its
+    own: every point closer than ``min_separation`` lies in that block.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -280,7 +281,9 @@ def sample_separated(n: int, width: float, height: float, min_separation: float,
         raise ValueError("margin leaves no usable area")
     if math.isnan(min_separation):
         raise ValueError("min_separation must not be NaN")
-    cell = min_separation / math.sqrt(2)
+    # Any cell of at least min_separation / sqrt(2) keeps the 5 x 5 search
+    # exact; the second bound keeps x / cell finite for a subnormal one.
+    cell = max(min_separation / math.sqrt(2), max(width, height) * 2.0 ** -52)
     grid: dict[tuple[int, int], list[tuple[float, float]]] = {}
     rng = Prng(seed)
     placed: list[tuple[float, float]] = []

@@ -686,6 +686,11 @@ def _synth_argv(folder, *flags):
 _SYNTH_ERRORS = {
     "render-sigma-inf": (["--render-sigma", "inf", "--density-out", "{dir}/m.csv"],
                          "invalid sigma"),
+    # 2 sigma^2 underflows to 0, 1 / (2 sigma^2) overflows, 8 sigma overflows.
+    **{f"render-sigma-{s}": (["--render-sigma", s, "--density-out", "{dir}/m.csv"],
+                             "invalid sigma")
+       for s in ("1e-300", "1e-160", "1e308")},
+    "width-beyond-float": (["--width", "1" + "0" * 400], "within the float range"),
     "drop-2": (["--perturb-out", "{dir}/p.txt", "--drop", "2"], "drop_rate must lie in [0, 1]"),
     "dmap-beyond-float32": (["--profile", "two_cluster", "--width", "64", "--height", "64",
                              "--spacing-sparse", "12", "--render-sigma", "1e-20",

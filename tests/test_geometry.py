@@ -255,8 +255,8 @@ class TestFusedPass:
     @pytest.mark.parametrize("m", [GRID_BACKEND_THRESHOLD - 1, GRID_BACKEND_THRESHOLD])
     def test_coincident_clusters_whose_floor_exceeds_the_disc(self, m, monkeypatch):
         # Four stacks of coincident targets on a 2 px square: on the grid
-        # the cells are 1/8 px, so a query on a stack completes with a
-        # 1/4 px disc, and a larger floor sends that row to pairs_within.
+        # the cells are 1/8 px, so a query on a stack would complete with
+        # a 1/4 px disc, were the disc not started at the floor.
         corners = np.array([(0.0, 0.0), (2.0, 0.0), (0.0, 2.0), (2.0, 2.0)])
         gt = PointSet(corners[np.arange(m) % 4])
         pred = PointSet(np.vstack([corners, corners + 0.1, [(1.0, 1.0), (40.0, -3.0)]]))
@@ -270,10 +270,23 @@ class TestFusedPass:
         for k in (1, 3, 5):
             for floor in (1e-3, 0.5, 3.0):
                 self.assert_fused_equals_two_passes(pred, gt, k, floor)
-        if m >= GRID_BACKEND_THRESHOLD:
-            assert max(fallback) >= 8
-        else:
-            assert fallback == []   # the full scan holds every distance
+        assert fallback == []   # the block or disc that sets a radius holds it
+
+    @pytest.mark.parametrize("m", [GRID_BACKEND_THRESHOLD - 1, GRID_BACKEND_THRESHOLD])
+    def test_mean_rounded_above_a_disc_at_the_floor(self, m):
+        # Three targets at distance x, whose mean rounds one ulp above x,
+        # and a fourth one ulp beyond x. With the floor at x, the grid's
+        # first disc is x and holds the three nearest, but the radius
+        # reaches the fourth target.
+        x = 1.9127555772777218
+        assert np.full(3, x).mean() > x
+        rng = np.random.default_rng(62)
+        angle, dist = rng.uniform(0, 2 * np.pi, m - 4), rng.uniform(3, 4, m - 4)
+        gt = np.vstack([[(x, 0.0), (-x, 0.0), (0.0, x), (0.0, -np.nextafter(x, np.inf))],
+                        np.c_[dist * np.cos(angle), dist * np.sin(angle)]])
+        pred, targets = PointSet([(0.0, 0.0)]), PointSet(gt)
+        self.assert_fused_equals_two_passes(pred, targets, 3, x)
+        assert _knn(pred.coords, targets, 3, x)[2][1].tolist() == [0, 1, 2, 3]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("m", [GRID_BACKEND_THRESHOLD - 1, GRID_BACKEND_THRESHOLD])

@@ -329,6 +329,10 @@ class TestSampleSeparatedGrid:
                                            max_attempts_per_point=1)
         assert got.coords.tobytes() == want.coords.tobytes()
 
+    def test_subnormal_separation_equals_zero(self):
+        got = sample_separated(5, 10.0, 10.0, 1e-310)
+        assert got.coords.tobytes() == sample_separated(5, 10.0, 10.0, 0.0).coords.tobytes()
+
     def test_nan_separation_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             sample_separated(3, 20, 20, math.nan)
