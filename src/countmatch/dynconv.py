@@ -21,7 +21,15 @@ largest size, and each offset's coefficient grid is evaluated once for
 all sizes. The pass walks the image in horizontal strips of whole rows,
 small enough for the running sums to stay in cache; each strip runs the
 full ring order before the next begins, so every pixel sees the same
-accumulation order, and the same bits, as in one whole-image pass.
+accumulation order, and the same bits, as in one whole-image pass. Each
+offset copies its shifted slice into a contiguous buffer and scales it
+there in place: the same products as a multiply straight from the
+strided slice, which is slower.
+
+Finiteness is checked once, where values are made: ``FeatureMap`` scans
+its input, and the pass checks each strip as it saves it (ValueError when
+a sum overflows float64, or when renormalizing by a kernel sum of 0). The
+module's own outputs therefore skip the constructor's scan.
 """
 
 from __future__ import annotations
@@ -31,8 +39,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .kernels import (_gaussian_factors, _offset_coefficient, _validate_axial_scales,
-                      _validate_size, logistic, squash_offset, squash_sigma)
+from .kernels import (_check_kernel_sums, _gaussian_factors, _offset_coefficient,
+                      _validate_axial_scales, _validate_size, logistic, squash_offset,
+                      squash_sigma)
 
 
 @dataclass(frozen=True)
@@ -63,6 +72,15 @@ class FeatureMap:
     @property
     def width(self) -> int:
         return self.values.shape[2]
+
+
+def _checked_map(values: np.ndarray) -> FeatureMap:
+    """A FeatureMap around a fresh C x H x W float64 array that its caller
+    has shown to be finite, made read-only without a second finite scan."""
+    values.setflags(write=False)
+    feature = object.__new__(FeatureMap)
+    object.__setattr__(feature, "values", values)
+    return feature
 
 
 @dataclass(frozen=True)
@@ -136,6 +154,9 @@ def _ring(r: int) -> list[tuple[int, int]]:
             for u in (range(-r, r + 1) if abs(v) == r else (-r, r))]
 
 
+# An offset term that overflows gives exp(-inf) = 0, as in kernels; an
+# overflowing product or sum fails the finite check of its strip.
+@np.errstate(over="ignore", invalid="ignore")
 def _gaussian_pass(feature: FeatureMap, field: ParamField, halves: set[int],
                    renormalize: bool) -> dict[int, np.ndarray]:
     """Dynamic Gaussian outputs for every half-width in ``halves``, from one pass.
@@ -146,7 +167,8 @@ def _gaussian_pass(feature: FeatureMap, field: ParamField, halves: set[int],
     each requested ring the strip's running sum is written into that
     half-width's output. With ``renormalize`` the per-pixel coefficient
     sum is built up through the same rings and each saved strip is
-    divided by it once.
+    divided by it once. Each saved strip is checked finite while it is
+    still in cache.
     """
     if (field.height, field.width) != (feature.height, feature.width):
         raise ValueError(
@@ -159,9 +181,8 @@ def _gaussian_pass(feature: FeatureMap, field: ParamField, halves: set[int],
     dx, dy = squash_offset(field.raws[1]), squash_offset(field.raws[2])
     sx2, sy2, norm = _gaussian_factors(field.sx * sigma, field.sy * sigma)
     padded = np.pad(feature.values, ((0, 0), (top, top), (top, top)))
-    with np.errstate(over="ignore"):   # an infinite term gives exp(-inf) = 0, as in kernels
-        x_terms = {u: -((u - dx) ** 2) / sx2 for u in range(-top, top + 1)}
-        y_terms = {v: ((v - dy) ** 2) / sy2 for v in range(-top, top + 1)}
+    x_terms = {u: -((u - dx) ** 2) / sx2 for u in range(-top, top + 1)}
+    y_terms = {v: ((v - dy) ** 2) / sy2 for v in range(-top, top + 1)}
 
     saved = {r: np.empty((c, h, w)) for r in halves}
     rows = max(1, _STRIP_CELLS // (c * w))
@@ -175,14 +196,18 @@ def _gaussian_pass(feature: FeatureMap, field: ParamField, halves: set[int],
                 coeff = _offset_coefficient(norm[y0:y1], x_terms[u][y0:y1], y_terms[v][y0:y1])
                 if denom is not None:
                     denom += coeff
-                np.multiply(coeff, padded[:, y0 + v + top:y1 + v + top, u + top:u + top + w],
-                            out=tmp)
+                np.copyto(tmp, padded[:, y0 + v + top:y1 + v + top, u + top:u + top + w])
+                tmp *= coeff
                 out += tmp
             if r in halves:
+                block = saved[r][:, y0:y1]
                 if denom is None:
-                    saved[r][:, y0:y1] = out
+                    block[...] = out
                 else:
-                    np.divide(out, denom, out=saved[r][:, y0:y1])
+                    _check_kernel_sums(denom)
+                    np.divide(out, denom, out=block)
+                if not np.isfinite(block).all():
+                    raise ValueError("dynamic Gaussian convolution overflows float64")
     return saved
 
 
@@ -198,7 +223,7 @@ def dynamic_gaussian_conv(feature: FeatureMap, field: ParamField, size: int,
     kernel's discrete sum.
     """
     size = _validate_size(size)
-    return FeatureMap(_gaussian_pass(feature, field, {size // 2}, renormalize)[size // 2])
+    return _checked_map(_gaussian_pass(feature, field, {size // 2}, renormalize)[size // 2])
 
 
 def multiscale_forward(feature: FeatureMap, field: ParamField,
@@ -225,7 +250,8 @@ def multiscale_forward(feature: FeatureMap, field: ParamField,
     saved = _gaussian_pass(feature, field, {s // 2 for s in scales}, renormalize)
     standard = [feature.values for _ in scales]
     gaussian = [saved[s // 2] for s in scales]
-    return FeatureMap(np.concatenate(standard + gaussian, axis=0))
+    # The standard blocks copy a validated map; the pass checked its strips.
+    return _checked_map(np.concatenate(standard + gaussian, axis=0))
 
 
 def fusion_attention(f_cat: FeatureMap, alpha) -> tuple[FeatureMap, AttentionState]:
@@ -248,5 +274,5 @@ def fusion_attention(f_cat: FeatureMap, alpha) -> tuple[FeatureMap, AttentionSta
         except FloatingPointError as exc:
             raise ValueError("channel mean or attention logit overflows") from exc
     gate = logistic(alpha_prime)
-    out = FeatureMap(f_cat.values * gate[:, None, None])
+    out = _checked_map(f_cat.values * gate[:, None, None])   # |f * gate| <= |f|
     return out, AttentionState(alpha=a, alpha_prime=alpha_prime)

@@ -171,6 +171,14 @@ def _validate_axial_scales(sx: float, sy: float) -> None:
                 f"for sigma in [{SIGMA_MIN}, {SIGMA_MAX}]") from None
 
 
+def _check_kernel_sums(total) -> None:
+    """Renormalizing divides by each kernel's discrete sum, which is 0 when
+    every coefficient underflows (a tiny axial scale with an off-grid
+    offset); that is refused rather than divided into nan."""
+    if not np.all(total):
+        raise ValueError("cannot renormalize a kernel whose discrete sum is 0")
+
+
 def _offset_grids(size: int) -> tuple[np.ndarray, np.ndarray]:
     half = size // 2
     offs = np.arange(-half, half + 1, dtype=np.float64)
@@ -196,6 +204,7 @@ def synthesize_kernel(params: KernelParams, size: int, renormalize: bool = False
     grid is divided by its discrete sum, which makes constant signals
     invariant under convolution; the default emits the raw formula values,
     whose discrete sum approaches 1 as the grid covers the Gaussian mass.
+    Renormalizing a grid whose sum is 0 raises ValueError.
     """
     size = _validate_size(size)
     u, v = _offset_grids(size)
@@ -206,7 +215,9 @@ def synthesize_kernel(params: KernelParams, size: int, renormalize: bool = False
         x_term, y_term = -((u - params.dx) ** 2) / sx2, ((v - params.dy) ** 2) / sy2
     values = _offset_coefficient(norm, x_term, y_term)
     if renormalize:
-        values = values / values.sum()
+        total = values.sum()
+        _check_kernel_sums(total)
+        values = values / total
     return Kernel(values=values, params=params, renormalized=renormalize)
 
 

@@ -644,6 +644,9 @@ _CONTRACT_CASES = {
     "kernel-sx-tiny-inside": (["kernel", "--sigma", "1", "--sx", "2e-154", "--size", "9"], 0),
     "kernel-sx-tiny-inside-gradients": (["kernel", "--sigma", "1", "--sx", "2e-154", "--size",
                                          "9", "--gradients", "--out", "{out}.csv"], 0),
+    # Off the grid every coefficient underflows: a zero sum cannot be renormalized.
+    "kernel-renormalize-zero-sum": (["kernel", "--sigma", "1", "--sx", "2e-154", "--dx", "0.5",
+                                     "--size", "3", "--renormalize"], 2),
     # 20 000 points a side: the grid path of the matcher, end to end.
     "very-large-files": (["match", "{pred_large}", "{gt_large}", "--out", "{out}"], 0),
 }

@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from countmatch import dynconv
 from countmatch.dynconv import (
@@ -98,6 +100,15 @@ class TestFeatureMapValidation:
             FeatureMap(np.full((1, 2, 2), np.nan))
         fm = FeatureMap(np.ones((2, 3, 4)))
         assert (fm.channels, fm.height, fm.width) == (2, 3, 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructor_still_scans_its_input(self, bad):
+        # The module's own outputs skip the scan; the public constructor
+        # does not.
+        values = np.ones((2, 3, 4))
+        values[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="feature map values must be finite"):
+            FeatureMap(values)
 
     def test_param_field_validation(self):
         with pytest.raises(ValueError):
@@ -455,3 +466,89 @@ class TestStripPass:
         finally:
             tracemalloc.stop()
         assert peak <= 1.75 * out.values.nbytes
+
+
+class TestFiniteness:
+    """Overflow and zero kernel sums are one ValueError each, never a warning."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_overflowing_products_are_one_value_error(self, renormalize):
+        # A finite input whose centre coefficient (about 2.6e151) times
+        # 1e200 overflows: not "feature map values must be finite".
+        fm = FeatureMap(np.full((1, 6, 6), 1e200))
+        field = ParamField(np.zeros((3, 6, 6)), sx=2e-154)
+        with pytest.raises(ValueError, match="convolution overflows float64"):
+            multiscale_forward(fm, field, renormalize=renormalize)
+        with pytest.raises(ValueError, match="convolution overflows float64"):
+            dynamic_gaussian_conv(fm, field, 3, renormalize=renormalize)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_overflow_in_the_last_strip_only(self, renormalize):
+        c, h, w = 4, 40, 300
+        assert dynconv._STRIP_CELLS // (c * w) == 27   # strips of rows 0-26 and 27-39
+        values = np.ones((c, h, w))
+        values[:, 36:] = 1e200   # beyond the reach of a 9 x 9 kernel from row 26
+        field = ParamField(np.zeros((3, h, w)), sx=2e-154)
+        with pytest.raises(ValueError, match="convolution overflows float64"):
+            multiscale_forward(FeatureMap(values), field, renormalize=renormalize)
+        first = multiscale_forward(FeatureMap(values[:, :27]), ParamField(
+            np.zeros((3, 27, w)), sx=2e-154), renormalize=renormalize)
+        assert np.isfinite(first.values).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_renormalizing_a_zero_kernel_sum_is_value_error(self):
+        # raw dx = 0.25 puts every column off the grid, and with a tiny sx
+        # every coefficient of that pixel underflows to 0. The sum is
+        # checked before dividing, so this is not reported as an overflow.
+        raws = np.zeros((3, 6, 6))
+        raws[1, 2, 3] = 0.25
+        field = ParamField(raws, sx=2e-154)
+        fm = FeatureMap(np.ones((2, 6, 6)))
+        with pytest.raises(ValueError, match="discrete sum is 0"):
+            multiscale_forward(fm, field, renormalize=True)
+        with pytest.raises(ValueError, match="discrete sum is 0"):
+            dynamic_gaussian_conv(fm, field, 3, renormalize=True)
+        # Without renormalizing that pixel's Gaussian outputs are 0.
+        out = multiscale_forward(fm, field).values
+        assert not out[8:, 2, 3].any() and out[8:].any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_outputs_are_finite_read_only_maps_or_value_errors(self, data):
+        c = data.draw(st.integers(1, 2))
+        h, w = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        big = st.floats(-1e300, 1e300)
+        fm = FeatureMap(data.draw(hnp.arrays(np.float64, (c, h, w), elements=big)))
+        raws = data.draw(hnp.arrays(np.float64, (3, h, w), elements=st.floats(-40, 40)))
+        # Axial scales across the whole range the rule admits.
+        sx, sy = (data.draw(st.floats(-154.0, 153.0).map(lambda e: 10.0 ** e)) for _ in range(2))
+        try:
+            field = ParamField(raws, sx=sx, sy=sy)
+        except ValueError:
+            assume(False)
+        scales = data.draw(st.lists(st.sampled_from([3, 5, 7, 9]), min_size=1, max_size=4))
+        renormalize = data.draw(st.booleans())
+        extreme = st.one_of(st.floats(), st.sampled_from([1.7976931348623157e308,
+                                                          -1.7976931348623157e308]))
+        alpha = data.draw(hnp.arrays(np.float64, 2 * len(scales) * c, elements=extreme))
+
+        def checked(call, *args):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    out = call(*args)
+            except ValueError:
+                return None
+            out = out[0] if isinstance(out, tuple) else out
+            assert out.values.dtype == np.float64 and not out.values.flags.writeable
+            assert np.isfinite(out.values).all()
+            return out
+
+        checked(dynamic_gaussian_conv, fm, field, max(scales), renormalize)
+        fused = checked(multiscale_forward, fm, field, scales, renormalize)
+        checked(fusion_attention, fm, alpha[:c])
+        if fused is not None:
+            assert fused.channels == 2 * len(scales) * c
+            checked(fusion_attention, fused, alpha)

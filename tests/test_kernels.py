@@ -172,6 +172,21 @@ class TestSynthesizeKernel:
         assert k.values.sum() == pytest.approx(1.0, abs=1e-12)
         assert k.renormalized
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scales", [(2e-154, 1.0), (1.0, 2e-154)])
+    def test_renormalizing_a_zero_sum_is_value_error(self, scales):
+        # Off-grid offsets with a tiny axial scale: every coefficient
+        # underflows to 0, so there is no sum to divide by (not 0 / 0 = nan).
+        sx, sy = scales
+        params = KernelParams(sigma=1.0, dx=0.5, dy=0.5, sx=sx, sy=sy)
+        assert not synthesize_kernel(params, 3).values.any()
+        with pytest.raises(ValueError, match="discrete sum is 0"):
+            synthesize_kernel(params, 3, renormalize=True)
+        # On the grid the centre line survives and renormalizing works.
+        on_grid = KernelParams(sigma=1.0, sx=sx, sy=sy)
+        k = synthesize_kernel(on_grid, 3, renormalize=True).values
+        assert np.isfinite(k).all() and k.sum() == pytest.approx(1.0, abs=1e-12)
+
     def test_size_validation(self):
         p = KernelParams(sigma=2.0)
         for bad in (4, 0, -3, 1, 2.5):
