@@ -14,7 +14,7 @@ closer than a minimum distance (higher value wins, scan order breaks
 ties). Only pixels at or above the threshold are examined: their
 neighbor maxima are gathered, their equal-valued plateaus are labelled
 by an array-level union-find, and suppression walks conflict lists from
-:func:`countmatch.geometry.pairs_within` (full scan or grid index). So
+:func:`countmatch.geometry.pairs_within` (a uniform-grid index). So
 decoding costs a few array passes over the map plus work proportional
 to the pixels at or above the threshold and to the close pairs, with no
 Python loop over pixels.

@@ -39,6 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .geometry import _finite_mean
 from .kernels import (_check_kernel_sums, _gaussian_factors, _offset_coefficient,
                       _validate_axial_scales, _validate_size, logistic, squash_offset,
                       squash_sigma)
@@ -260,7 +261,9 @@ def fusion_attention(f_cat: FeatureMap, alpha) -> tuple[FeatureMap, AttentionSta
     ``alpha_prime[c] = alpha[c] + mean(f_cat[c])``; each channel is scaled
     by ``logistic(alpha_prime[c])``. With alpha = 0 the gate logits are
     exactly the channel means, so the block reduces to a content-driven
-    recalibration that preserves the input's semantics.
+    recalibration that preserves the input's semantics. A channel whose
+    sum overflows still has its mean (:func:`geometry._finite_mean`); a
+    logit beyond the float range raises ValueError.
     """
     a = np.asarray(alpha, dtype=np.float64).reshape(-1)
     if a.shape[0] != f_cat.channels:
@@ -270,9 +273,9 @@ def fusion_attention(f_cat: FeatureMap, alpha) -> tuple[FeatureMap, AttentionSta
         raise ValueError("alpha must be finite")
     with np.errstate(over="raise"):
         try:
-            alpha_prime = a + f_cat.values.mean(axis=(1, 2))
+            alpha_prime = a + _finite_mean(f_cat.values, axis=(1, 2))
         except FloatingPointError as exc:
-            raise ValueError("channel mean or attention logit overflows") from exc
+            raise ValueError("attention logit overflows") from exc
     gate = logistic(alpha_prime)
     out = _checked_map(f_cat.values * gate[:, None, None])   # |f * gate| <= |f|
     return out, AttentionState(alpha=a, alpha_prime=alpha_prime)

@@ -3,17 +3,18 @@
 Coordinates follow the image convention (x grows rightward, y grows
 downward, units are pixels). Two queries are provided: the k nearest
 targets of a point, and every target within a per-query radius (the
-edges of the matcher). Both take whole batches of queries. Below
-``GRID_BACKEND_THRESHOLD`` targets they scan every target in bounded
-blocks; at or above it they ask a uniform-grid index whose one query is
-a batched disc query, and k-NN becomes disc queries whose radius doubles
-until each holds k targets. Each disc starts at the size that the
-occupancy of the grid cells around its query predicts will hold about
-twice k targets, so a k-NN query computes a small multiple of k
-distances whether the targets there are sparse or packed, and each
-row's k smallest are selected with a partition, not a sort of every
-candidate. Every query here is exact: the grid returns the same
-distances as a full scan, it only prunes the candidate set.
+edges of the matcher). Both take whole batches of queries. A range
+query always asks a uniform-grid index, whose one query is a batched
+disc query. The k-NN pass scans every target in bounded blocks below
+``GRID_BACKEND_THRESHOLD`` targets; at or above it, k-NN becomes disc
+queries whose radius doubles until each holds k targets. Each disc
+starts at the size that the occupancy of the grid cells around its
+query predicts will hold about twice k targets, so a k-NN query
+computes a small multiple of k distances whether the targets there are
+sparse or packed, and each row's k smallest are selected with a
+partition, not a sort of every candidate. Every query here is exact:
+the grid returns the same distances as a full scan, it only prunes the
+candidate set.
 
 The adaptive radius of a query point is the mean of its distances to the
 k nearest target points, clamped below by a configurable floor. It
@@ -40,8 +41,8 @@ DEFAULT_K = 5
 #: exclude the point itself).
 DEFAULT_RADIUS_FLOOR = 1e-3
 
-#: Target-set size at which k-NN and range queries switch from a full
-#: scan to the uniform-grid index.
+#: Target-set size at which the k-NN pass switches from a full scan to
+#: the uniform-grid index. Range queries always use the grid.
 GRID_BACKEND_THRESHOLD = 256
 
 
@@ -169,16 +170,18 @@ class _UniformGrid:
     def __init__(self, coords: np.ndarray):
         self.coords = coords
         n = coords.shape[0]
-        lo = coords.min(axis=0)
-        hi = coords.max(axis=0)
+        # An empty cloud gets a finite, inverted box: one cell, no point.
+        big = np.finfo(np.float64).max
+        lo = coords.min(axis=0, initial=big)
+        hi = coords.max(axis=0, initial=-big)
         # Halved, so the extent of any finite cloud is finite.
         half_extent = float(max(hi / 2 - lo / 2))
         ncells = max(1, int(math.sqrt(n)))
         self.cell = half_extent / ncells * 2 if half_extent > 0 else 1.0
         self.origin, self.top = lo, hi
         ij = np.floor(self._cells(coords)).astype(np.int64)
-        nx = int(ij[:, 0].max()) + 1
-        ny = int(ij[:, 1].max()) + 1
+        nx = int(ij[:, 0].max(initial=0)) + 1
+        ny = int(ij[:, 1].max(initial=0)) + 1
         self.shape = (nx, ny)
         cell_id = ij[:, 0] * ny + ij[:, 1]
         self.order = np.argsort(cell_id, kind="stable")
@@ -318,19 +321,6 @@ _SCAN_BLOCK_CELLS = 1 << 16
 _START_FILL = 2
 
 
-def _scan_blocks(queries: np.ndarray, targets: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Full-scan distances, one block of query rows at a time.
-
-    Yields ``(s, d)`` where ``d[a, j]`` is the distance from query
-    ``s + a`` to target ``j``, bit-identical to
-    :func:`pairwise_distances`. A block holds at most
-    ``_SCAN_BLOCK_CELLS`` pairs (at least one row).
-    """
-    rows = max(1, _SCAN_BLOCK_CELLS // max(len(targets), 1))
-    for s in range(0, len(queries), rows):
-        yield s, _distances(queries[s:s + rows, None, :], targets[None, :, :])
-
-
 def _knn(queries: np.ndarray, targets: PointSet, k: int, floor: Optional[float] = None):
     """Row i of ``nearest``: the ``min(k, len(targets))`` smallest
     distances from ``queries[i]`` to ``targets``, in non-decreasing order.
@@ -360,10 +350,11 @@ def _knn(queries: np.ndarray, targets: PointSet, k: int, floor: Optional[float] 
     kk = min(k, m)
     out = np.empty((len(queries), kk), dtype=np.float64)
     radii = np.empty(len(queries), dtype=np.float64)
-    parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-              np.empty(0, dtype=np.float64))]
+    parts = []
     if m < GRID_BACKEND_THRESHOLD:
-        for s, d in _scan_blocks(queries, targets.coords):
+        step = max(1, _SCAN_BLOCK_CELLS // m)   # query rows per block
+        for s in range(0, len(queries), step):
+            d = _distances(queries[s:s + step, None, :], targets.coords[None, :, :])
             out[s:s + len(d)] = nearest = np.sort(np.partition(d, kk - 1, axis=1)[:, :kk], axis=1)
             if floor is not None:
                 radii[s:s + len(d)] = reach = _radius(nearest, floor)
@@ -403,9 +394,18 @@ def _knn(queries: np.ndarray, targets: PointSet, k: int, floor: Optional[float] 
                 disc[todo] *= 2
     if floor is None:
         return out, None, None
-    qi, ti, d = (np.concatenate(c) for c in zip(*parts))
+    return out, radii, _edge_list(parts, m)
+
+
+def _edge_list(parts: list, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One edge list from ``parts``, a list of ``(qi, ti, d)`` arrays
+    (possibly none) against ``m`` targets: query indices, target indices
+    and distances, ordered by query index, then target index."""
+    seed = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.float64))
+    qi, ti, d = (np.concatenate(c) for c in zip(seed, *parts))
     order = np.argsort(qi * m + ti)   # each (query, target) pair occurs once
-    return out, radii, (qi[order], ti[order], d[order])
+    return qi[order], ti[order], d[order]
 
 
 def _row_smallest(d: np.ndarray, counts: np.ndarray, kk: int) -> np.ndarray:
@@ -450,27 +450,26 @@ def all_radii(pred: PointSet, gt: PointSet, k: int = DEFAULT_K,
 
 def _radius(nearest: np.ndarray, floor: float) -> np.ndarray:
     """Adaptive radii from rows of sorted nearest distances: the row
-    mean, clamped below by ``floor``."""
-    return np.maximum(_mean_distance(nearest), floor)
-
-
-def _mean_distance(nearest: np.ndarray) -> np.ndarray:
-    """Mean over the last axis of non-negative distances sorted along it.
-
-    The sum of finite distances can overflow where their mean cannot.
-    Such means are taken again on the distances scaled down by a power
-    of two above their count, so the sum stays finite, and scaled back
-    up; both scalings are exact. Every other mean is ``mean(axis=-1)``
-    bit for bit. An inf distance raises ValueError
-    (:func:`require_finite_distances`).
-    """
+    mean (:func:`_finite_mean`), clamped below by ``floor``. An inf
+    distance raises ValueError (:func:`require_finite_distances`)."""
     require_finite_distances(nearest[..., -1])
-    with np.errstate(over="ignore"):
-        mean = nearest.mean(axis=-1)
-    over = np.isinf(mean) & np.isfinite(nearest[..., -1])
+    return np.maximum(_finite_mean(nearest, axis=-1), floor)
+
+
+def _finite_mean(values: np.ndarray, axis) -> np.ndarray:
+    """Mean of finite ``values`` of any sign over ``axis``.
+
+    The sum of finite values can overflow where their mean cannot. Such
+    means are taken again on the values scaled down by a power of two
+    above their count, so the sum stays finite, and scaled back up. Every
+    other mean is ``mean(axis=axis)`` bit for bit.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = values.mean(axis=axis)
+        over = ~np.isfinite(mean)
     if np.any(over):
-        scale = float(2 ** nearest.shape[-1].bit_length())
-        mean = np.where(over, (nearest / scale).mean(axis=-1) * scale, mean)
+        scale = float(2 ** (values.size // mean.size).bit_length())
+        mean = np.where(over, (values / scale).mean(axis=axis) * scale, mean)
     return mean
 
 
@@ -493,9 +492,8 @@ def pairs_within(queries: PointSet, targets: PointSet,
 
     Returns ``(qi, ti, d)``: query indices, target indices and distances,
     ordered by query index, then target index. Distances are bit-identical
-    to :func:`pairwise_distances`. Below ``GRID_BACKEND_THRESHOLD``
-    targets the queries are scanned against every target in bounded
-    blocks; at or above it they go to the uniform grid in one batch.
+    to :func:`pairwise_distances`. The queries go to the uniform grid in
+    one batch, whatever the number of targets, an empty set included.
     Memory is O(pairs found + block), never O(len(queries) * len(targets)).
     """
     radii = np.asarray(radii, dtype=np.float64)
@@ -504,15 +502,5 @@ def pairs_within(queries: PointSet, targets: PointSet,
         raise ValueError(f"radius count {radii.shape} does not match queries {n}")
     if not np.all(np.isfinite(radii)) or np.any(radii < 0):
         raise ValueError("radii must be finite and non-negative")
-    parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-              np.empty(0, dtype=np.float64))]
-    qc, tc = queries.coords, targets.coords
-    if m < GRID_BACKEND_THRESHOLD:
-        for s, d in _scan_blocks(qc, tc):
-            qi, ti = np.nonzero(d <= radii[s:s + len(d), None])
-            parts.append((qi + s, ti, d[qi, ti]))
-    else:
-        for _, qi, ti, d in _UniformGrid(tc).within(qc, radii):
-            order = np.lexsort((ti, qi))
-            parts.append((qi[order], ti[order], d[order]))
-    return tuple(np.concatenate(col) for col in zip(*parts))
+    grid = _UniformGrid(targets.coords)
+    return _edge_list([(qi, ti, d) for _, qi, ti, d in grid.within(queries.coords, radii)], m)

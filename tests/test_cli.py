@@ -181,7 +181,6 @@ class TestCoordFileFormat:
                                              r"\(about 1\.8e308\)$"):
             cli.parse_coord_file(path)
 
-    @pytest.mark.filterwarnings("error")
     @settings(max_examples=300, deadline=None)
     @given(data=st.one_of(
         st.lists(st.one_of(st.sampled_from(_COORD_BYTES), _digit_runs), max_size=24),
@@ -302,7 +301,6 @@ class TestCoordFileBytes:
         with pytest.raises(ValueError, match=r"^.*bad\.txt:3: not ASCII text$"):
             cli.parse_coord_file(str(path))
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["match", "eval"])
     def test_non_ascii_line_exits_two_with_one_line(self, tmp_path, capsys, command):
         bad = tmp_path / "bad.txt"
@@ -314,7 +312,6 @@ class TestCoordFileBytes:
 
     # Every integer up to 2**53 is a float64; odd ones above 2**52 have
     # no room for the half of half-away rounding.
-    @pytest.mark.filterwarnings("error")
     @settings(max_examples=200, deadline=None)
     @given(points=st.lists(st.tuples(st.integers(0, 2 ** 53), st.integers(0, 2 ** 53)),
                            max_size=30))
@@ -453,13 +450,11 @@ class TestGradcheckCommand:
     def test_invalid_trials(self, capsys):
         assert cli.main(["gradcheck", "--trials", "0"]) == 2
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("epsilon", [0.0, -1e-5, float("inf"), float("nan")])
     def test_epsilon_must_be_positive_and_finite(self, epsilon):
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             cli.run_gradcheck(1, 9, epsilon)
 
-    @pytest.mark.filterwarnings("error")
     def test_nan_relative_error_fails(self, capsys, monkeypatch):
         from countmatch import kernels
 
@@ -666,7 +661,6 @@ def large_pair(tmp_path_factory):
     return {k: str(v) for k, v in paths.items()}
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, code", _CONTRACT_CASES.values(), ids=_CONTRACT_CASES.keys())
 def test_cli_input_contract(tmp_path, capsys, large_pair, argv, code):
     # Every bad input is a data error with one line on stderr; an
@@ -711,7 +705,6 @@ _SYNTH_ERRORS = {
 }
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flags, message", _SYNTH_ERRORS.values(), ids=_SYNTH_ERRORS.keys())
 def test_synth_data_error_writes_nothing(tmp_path, capsys, flags, message):
     assert cli.main(_synth_argv(tmp_path, *flags)) == 2
@@ -721,7 +714,6 @@ def test_synth_data_error_writes_nothing(tmp_path, capsys, flags, message):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, message", [
     (["kernel", "--gradients"], "--gradients needs --out"),
     (["eval", "{good}", "{good}", "--report-out", "{missing_dir}/r.txt"], "nodir"),

@@ -362,7 +362,6 @@ class TestSerialization:
             loaded.values, dm.values.astype(np.float32).astype(np.float64))
         assert (loaded.height, loaded.width) == (9, 14)
 
-    @pytest.mark.filterwarnings("error")
     def test_binary_rejects_values_beyond_float32(self, tmp_path):
         # Such a value would be cast to inf, which load_binary rejects.
         top = float(np.finfo(np.float32).max)
@@ -392,7 +391,6 @@ class TestSerialization:
 _SHAPES = st.tuples(st.integers(1, 6), st.integers(1, 6))
 
 
-@pytest.mark.filterwarnings("error")
 class TestRoundTrips:
     @settings(max_examples=150, deadline=None)
     @given(values=hnp.arrays(np.float32, _SHAPES, elements=st.floats(
@@ -424,7 +422,6 @@ class TestDensityMapValidation:
             DensityMap(np.array([[np.nan]]))
 
 
-@pytest.mark.filterwarnings("error")
 class TestMapsHaveAPixel:
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
     def test_zero_dimension_rejected(self, shape):

