@@ -1,23 +1,31 @@
 """Density-map rendering, peak decoding, and on-disk formats.
 
 A density map is a single-channel grid of non-negative intensities whose
-local maxima encode point detections. Rendering places a unit-integral
-isotropic Gaussian at each source point (sampled at pixel centers, so
-the discrete mass of a well-separated interior point is 1 to within
+local maxima encode point detections. :class:`DensityMap` accepts a map
+iff its minimum is >= 0 and its maximum is at most the float64 maximum:
+both reductions propagate nan, so these two comparisons reject nan,
+infinities and negatives. Rendering places a unit-integral isotropic
+Gaussian at each source point (sampled at pixel centers, so the
+discrete mass of a well-separated interior point is 1 to within
 quantization). The Gaussian tiles are computed for a block of points at
-a time and added into the map in point order, so every pixel sums its
-contributions in the same order whatever the block size.
+a time, one product per tile cell, and added into the map in point
+order, so every pixel sums its contributions in the same order whatever
+the block size. A sum that overflows is that check's ValueError, with
+no warning.
 
 Decoding finds strict 8-neighborhood local maxima, with equal-valued
 plateaus collapsed to their centroid, and greedily suppresses peaks
 closer than a minimum distance (higher value wins, scan order breaks
-ties). Only pixels at or above the threshold are examined: their
-neighbor maxima are gathered, their equal-valued plateaus are labelled
-by an array-level union-find, and suppression walks conflict lists from
-:func:`countmatch.geometry.pairs_within` (a uniform-grid index). So
-decoding costs a few array passes over the map plus work proportional
-to the pixels at or above the threshold and to the close pairs, with no
-Python loop over pixels.
+ties). Candidates are the pixels at or above the threshold; the map's
+minimum and maximum are read only when every pixel passes, to leave the
+background plateau out (otherwise the threshold already has). The
+candidates' neighbor maxima are gathered, their equal-valued plateaus
+are labelled by an array-level union-find, and suppression walks the
+conflict lists from :func:`countmatch.geometry.pairs_within` (a
+uniform-grid index), visiting only the peaks that have a close later
+peak. So decoding costs one comparison pass over the map plus work
+proportional to the pixels at or above the threshold and to the close
+pairs, with no Python loop over pixels.
 
 Maps serialize either as row-major CSV or as a compact binary grid:
 
@@ -59,7 +67,9 @@ class DensityMap:
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 2 or 0 in arr.shape:
             raise ValueError(f"density map must be 2-D and non-empty, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        # Two reductions: min and max propagate nan, so nan, -inf, +inf
+        # and negatives all fail one of the comparisons.
+        if not (arr.min() >= 0 and arr.max() <= np.finfo(np.float64).max):
             raise ValueError("density map values must be finite and non-negative")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -114,17 +124,23 @@ def render_density(points: PointSet, sigma: float, height: int, width: int) -> D
     span_y = np.arange(min(2 * window + 1, height))
     # One point per block when a tile is larger than the budget.
     block = max(1, _SCAN_BLOCK_CELLS // (len(span_x) * len(span_y)))
-    for start in range(0, len(coords), block):
-        stop = start + block
-        # The same exp/outer/multiply per element as one point at a time;
-        # cells past a clipped edge are computed and never added.
-        gx = np.exp(-((x0[start:stop, None] + span_x - coords[start:stop, :1]) ** 2) * inv)
-        gy = np.exp(-((y0[start:stop, None] + span_y - coords[start:stop, 1:]) ** 2) * inv)
-        tiles = gy[:, :, None] * gx[:, None, :]
-        tiles *= norm
-        for tile, r0, r1, c0, c1 in zip(tiles, y0[start:stop].tolist(), y1[start:stop].tolist(),
-                                        x0[start:stop].tolist(), x1[start:stop].tolist()):
-            values[r0:r1, c0:c1] += tile[:r1 - r0, :c1 - c0]
+    # An overflowing sum becomes inf, which DensityMap rejects. At a tiny
+    # sigma a squared offset beyond the window may overflow too; its exp
+    # is 0 and its cell is never added.
+    with np.errstate(over="ignore"):
+        for start in range(0, len(coords), block):
+            stop = start + block
+            # The same exp/outer/multiply per element as one point at a
+            # time (einsum's outer product is one IEEE product per cell);
+            # cells past a clipped edge are computed and never added.
+            gx = np.exp(-((x0[start:stop, None] + span_x - coords[start:stop, :1]) ** 2) * inv)
+            gy = np.exp(-((y0[start:stop, None] + span_y - coords[start:stop, 1:]) ** 2) * inv)
+            tiles = np.einsum("pi,pj->pij", gy, gx)
+            tiles *= norm
+            for tile, r0, r1, c0, c1 in zip(tiles, y0[start:stop].tolist(),
+                                            y1[start:stop].tolist(), x0[start:stop].tolist(),
+                                            x1[start:stop].tolist()):
+                values[r0:r1, c0:c1] += tile[:r1 - r0, :c1 - c0]
     return DensityMap(values)
 
 
@@ -171,21 +187,24 @@ def extract_peaks(dmap: DensityMap, threshold: float, min_distance: float = 1.0)
     identical. ``threshold`` must be finite and ``min_distance`` finite
     and >= 1.
 
-    Candidates come only from pixels at or above the threshold (and
-    above the map minimum, unless the map is constant): each gathers its
-    eight neighbors and survives if none is larger. Equal-valued
-    neighbors are linked and labelled by a min-label union-find with
-    pointer jumping, and a plateau that has a member with a larger
-    neighbor is dropped. Centroids come from integer coordinate sums, so
-    they equal the exact mean of the member coordinates. Apart from a
-    few array passes over the map, the cost is proportional to the
-    pixels at or above the threshold, with no Python loop over pixels.
+    Candidates come only from pixels at or above the threshold (and,
+    when every pixel is, above the map minimum unless the map is
+    constant): each gathers its eight neighbors and survives if none is
+    larger. Equal-valued neighbors are linked and labelled by a
+    min-label union-find with pointer jumping, and a plateau that has a
+    member with a larger neighbor is dropped. Centroids come from
+    integer coordinate sums, so they equal the exact mean of the member
+    coordinates. Apart from one comparison pass over the map (and a
+    minimum and maximum when every pixel passes), the cost is
+    proportional to the pixels at or above the threshold, with no Python
+    loop over pixels.
 
-    The greedy pass visits the peaks in that order once: a peak is kept
-    unless a kept earlier peak lies closer than ``min_distance``. The
-    close pairs come from :func:`~countmatch.geometry.pairs_within`, so
-    suppression costs O(peaks + close pairs), with the same distances
-    and the same result as checking every pair.
+    The greedy pass keeps a peak unless a kept earlier peak lies closer
+    than ``min_distance``. The close pairs come from
+    :func:`~countmatch.geometry.pairs_within`, and only the peaks with a
+    close later peak are visited, in order. So suppression costs
+    O(peaks + close pairs), one Python step per peak with a conflict,
+    and gives the same result as checking every pair.
     """
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
@@ -194,13 +213,15 @@ def extract_peaks(dmap: DensityMap, threshold: float, min_distance: float = 1.0)
     vals = dmap.values
     h, w = vals.shape
     flat = vals.ravel()
-    above = vals >= threshold
-    lowest = vals.min()
-    if lowest < vals.max():
+    pixels = np.flatnonzero(vals >= threshold)
+    if len(pixels) == flat.size:
         # A plateau at the map minimum has only larger outside neighbors,
-        # so it is never a maximum; leave the background out.
-        above &= vals > lowest
-    pixels = np.flatnonzero(above)
+        # so it is never a maximum; leave the background out. When some
+        # pixel is below the threshold, so is the minimum, and the
+        # threshold has already left the background out.
+        lowest = vals.min()
+        if lowest < vals.max():
+            pixels = np.flatnonzero(flat > lowest)
     count = len(pixels)
     ys, xs = np.divmod(pixels, w)
     v = flat[pixels]
@@ -213,7 +234,7 @@ def extract_peaks(dmap: DensityMap, threshold: float, min_distance: float = 1.0)
     for oy, ox in _NEIGHBOR_OFFSETS:
         nv = flat[rows[oy + 1] + cols[ox + 1]]
         np.maximum(nbr_max, nv, out=nbr_max)
-        if oy < 0 or ox < 0:
+        if (oy, ox) < (0, 0):   # the four earlier neighbors
             equal[oy, ox] = nv == v
     candidate = v >= nbr_max
 
@@ -254,7 +275,8 @@ def extract_peaks(dmap: DensityMap, threshold: float, min_distance: float = 1.0)
     qi, ti = qi[close], ti[close]
     starts = np.searchsorted(qi, np.arange(n + 1))
     suppressed = np.zeros(n, dtype=bool)
-    for i in range(n):
+    # Only a peak with a close later peak can suppress one.
+    for i in np.unique(qi).tolist():
         if not suppressed[i]:
             suppressed[ti[starts[i]:starts[i + 1]]] = True
     return PointSet.from_coords(coords[~suppressed], label=PointLabel.PREDICTED)

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from countmatch.densitymap import (
+    _NEIGHBOR_OFFSETS,
     DensityMap,
+    _min_label_components,
     default_threshold,
     extract_peaks,
     load_binary,
@@ -17,7 +20,13 @@ from countmatch.densitymap import (
     save_binary,
     save_csv,
 )
-from countmatch.geometry import GRID_BACKEND_THRESHOLD, PointLabel, PointSet, pairwise_distances
+from countmatch.geometry import (
+    GRID_BACKEND_THRESHOLD,
+    PointLabel,
+    PointSet,
+    pairs_within,
+    pairwise_distances,
+)
 from countmatch.synth import sample_separated
 
 
@@ -52,6 +61,16 @@ class TestRenderDensity:
     def test_values_non_negative(self):
         dm = render_density(PointSet([(3, 3)]), 1.0, 8, 8)
         assert (dm.values >= 0).all()
+
+    def test_overflowing_sum_is_one_value_error(self):
+        # At sigma 1e-153 each point adds about 1.6e305 to its pixel, so
+        # 1 200 coincident points overflow to inf: one ValueError, no warning.
+        points = PointSet.from_coords(np.full((1200, 2), 3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="^density map values must be finite and non-negative$"):
+                render_density(points, 1e-153, 8, 8)
 
 
 def _reference_render_density(points, sigma, height, width):
@@ -116,6 +135,52 @@ class TestRenderMatchesPerPointReference:
         points = PointSet.from_coords(sites[rng.integers(0, 20, 500)])
         got = render_density(points, 5.0, 64, 64).values
         assert got.tobytes() == _reference_render_density(points, 5.0, 64, 64).tobytes()
+
+
+@st.composite
+def small_sigma_cases(draw):
+    """Sigma 0.05 to 0.3 on maps of 1x1 to 32x32, points anywhere, on
+    tenths of a pixel and at 0. The tiles' Gaussian factors run from 1
+    down to 0: products in the cells beyond a point's window (up to two
+    windows out) can be subnormal or underflow to 0."""
+    h, w = draw(st.integers(1, 32)), draw(st.integers(1, 32))
+    sigma = draw(st.floats(0.05, 0.3))
+    count = draw(st.integers(0, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    coords = rng.uniform(0, 1, (count, 2)) * [w, h]
+    kind = rng.integers(0, 3, (count, 2))
+    coords[kind == 1] = np.round(10 * coords[kind == 1]) / 10
+    coords[kind == 2] = 0.0
+    coords = np.minimum(coords, [np.nextafter(w, 0.0), np.nextafter(h, 0.0)])
+    return PointSet.from_coords(coords), sigma, h, w
+
+
+class TestRenderMatchesPerPointReferenceAtSmallSigma:
+    @settings(max_examples=150, deadline=None)
+    @given(small_sigma_cases())
+    def test_same_bytes(self, case):
+        points, sigma, h, w = case
+        got = render_density(points, sigma, h, w).values
+        assert got.tobytes() == _reference_render_density(points, sigma, h, w).tobytes()
+
+    def test_subnormal_and_underflowed_pixels(self):
+        # At sigma 0.035 a pixel 0.95 px from (5.05, 5.05) on both axes
+        # gets a subnormal value, and one next to (5.02, 5.06) gets 0.
+        for coords, subnormals, zeros in (((5.05, 5.05), 1, 140), ((5.02, 5.06), 0, 141)):
+            points = PointSet([coords])
+            want = _reference_render_density(points, 0.035, 12, 12)
+            assert ((want > 0) & (want < np.finfo(np.float64).tiny)).sum() == subnormals
+            assert (want == 0).sum() == zeros
+            assert render_density(points, 0.035, 12, 12).values.tobytes() == want.tobytes()
+
+    def test_tiny_sigma_at_the_corner(self):
+        # At sigma 1e-154 the squared offsets of the tile cells beyond the
+        # window of (0, 0) overflow; those cells are never added.
+        points = PointSet([(0.0, 0.0), (7.0, 7.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = render_density(points, 1e-154, 8, 8).values
+        assert got.tobytes() == _reference_render_density(points, 1e-154, 8, 8).tobytes()
 
 
 class TestExtractPeaks:
@@ -289,8 +354,9 @@ def peak_maps(draw):
         vals = rng.integers(0, draw(st.integers(2, 6)), (h, w)).astype(np.float64)
     else:
         # Isolated spikes on an even lattice, packed into one window so
-        # neighbours sit 2 px apart; on the grid side there are enough raw
-        # peaks for pairs_within to use the grid index.
+        # neighbours sit 2 px apart. The "grid" kind has more raw peaks
+        # than GRID_BACKEND_THRESHOLD, which switches only the k-NN pass:
+        # pairs_within asks the uniform grid for every kind.
         count = draw(st.integers(GRID_BACKEND_THRESHOLD + 4, GRID_BACKEND_THRESHOLD + 140)
                      if kind == "grid" else st.integers(1, 120))
         side = 2 * max(math.isqrt(count - 1) + 1, draw(st.integers(1, 40)))
@@ -322,7 +388,10 @@ class TestSuppressionMatchesGreedyReference:
 
     @pytest.mark.parametrize("count", [GRID_BACKEND_THRESHOLD // 2, 2 * GRID_BACKEND_THRESHOLD])
     def test_both_backends_dense_cluster(self, count):
-        # Random spikes, many 1-2 px apart; at min_distance 3 some are suppressed.
+        # Random spikes, many 1-2 px apart; at min_distance 3 some are
+        # suppressed. The raw peak counts fall on either side of
+        # GRID_BACKEND_THRESHOLD, but that switches only the k-NN pass:
+        # pairs_within asks the uniform grid at both counts.
         rng = np.random.default_rng(count)
         vals = np.zeros((64, 64))
         vals[rng.integers(0, 64, count), rng.integers(0, 64, count)] = rng.integers(1, 4, count)
@@ -341,6 +410,140 @@ class TestSuppressionMatchesGreedyReference:
         assert raw == 2
         got = extract_peaks(DensityMap(vals), 1.0, 1.0).coords
         assert got.tolist() == expected.tolist() == [[4.0, 4.0]]
+
+
+def _previous_extract_peaks(vals, threshold, min_distance):
+    """extract_peaks before threshold-first candidates and conflict-only
+    suppression. Its candidate rule (the threshold, then the background
+    left out whenever the map is not constant) and its suppression loop
+    (every peak visited in order) are kept as they were."""
+    h, w = vals.shape
+    flat = vals.ravel()
+    above = vals >= threshold
+    lowest = vals.min()
+    if lowest < vals.max():
+        above &= vals > lowest
+    pixels = np.flatnonzero(above)
+    count = len(pixels)
+    ys, xs = np.divmod(pixels, w)
+    v = flat[pixels]
+    rows = (np.maximum(ys - 1, 0) * w, ys * w, np.minimum(ys + 1, h - 1) * w)
+    cols = (np.maximum(xs - 1, 0), xs, np.minimum(xs + 1, w - 1))
+    nbr_max = np.full(count, -np.inf)
+    equal = {}
+    for oy, ox in _NEIGHBOR_OFFSETS:
+        nv = flat[rows[oy + 1] + cols[ox + 1]]
+        np.maximum(nbr_max, nv, out=nbr_max)
+        if oy < 0 or ox < 0:
+            equal[oy, ox] = nv == v
+    candidate = v >= nbr_max
+    up = equal[-1, 0] & (ys > 0)
+    left = equal[0, -1] & ~up & ~equal[-1, -1]
+    links = (((-1, 0), up), ((-1, 1), equal[-1, 1] & ~up),
+             ((-1, -1), equal[-1, -1] & ~up), ((0, -1), left))
+    src, dst = [], []
+    for (oy, ox), mask in links:
+        i = np.flatnonzero(mask)
+        src.append(i)
+        dst.append(np.searchsorted(pixels, rows[oy + 1][i] + cols[ox + 1][i]))
+    labels = _min_label_components(count, np.concatenate(src), np.concatenate(dst))
+    poisoned = np.zeros(count, dtype=bool)
+    poisoned[labels[~candidate]] = True
+    member = ~poisoned[labels]
+    roots = labels[member]
+    sizes = np.bincount(roots, minlength=count)
+    heads = np.flatnonzero(sizes)
+    cy = np.bincount(roots, ys[member], count)[heads] / sizes[heads]
+    cx = np.bincount(roots, xs[member], count)[heads] / sizes[heads]
+    order = np.lexsort((cx, cy, -v[heads]))
+    coords = np.column_stack((cx[order], cy[order]))
+    n = len(coords)
+    raw = PointSet.from_coords(coords)
+    qi, ti, d = pairs_within(raw, raw, np.full(n, float(min_distance)))
+    close = (ti > qi) & (d < min_distance)
+    qi, ti = qi[close], ti[close]
+    starts = np.searchsorted(qi, np.arange(n + 1))
+    suppressed = np.zeros(n, dtype=bool)
+    for i in range(n):
+        if not suppressed[i]:
+            suppressed[ti[starts[i]:starts[i + 1]]] = True
+    return coords[~suppressed]
+
+
+@st.composite
+def maps_at_or_above_threshold(draw):
+    """Maps whose every pixel is at or above the threshold: constant maps
+    and a background plateau at the minimum under spikes or quantized
+    noise, with the threshold at the minimum, just below it, and
+    negative."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    vals = np.full((h, w), draw(st.sampled_from([0.0, 0.5, 3.0])))
+    kind = draw(st.sampled_from(["constant", "spikes", "noise"]))
+    if kind == "spikes":
+        count = draw(st.integers(1, max(1, h * w // 4)))
+        vals.flat[rng.choice(h * w, count, replace=False)] += rng.integers(1, 4, count)
+    elif kind == "noise":
+        vals += rng.integers(0, draw(st.integers(2, 5)), (h, w))
+    lowest = vals.min()
+    threshold = draw(st.sampled_from([lowest, np.nextafter(lowest, -math.inf), lowest - 0.5,
+                                      -1.0, -1e300]))
+    min_distance = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    return vals, float(threshold), min_distance
+
+
+@st.composite
+def suppression_chains(draw):
+    """Dense peak fields: spikes on a lattice of spacing 1 or 2 with most
+    sites taken, so a peak that is suppressed often has a close later
+    peak of its own, which only a kept peak may suppress."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    step = draw(st.sampled_from([1, 2]))
+    side = draw(st.integers(2, 16))
+    vals = np.zeros((step * side + 2, step * side + 2))
+    taken = rng.random((side, side)) < draw(st.floats(0.5, 1.0))
+    peaks = rng.integers(1, draw(st.sampled_from([4, 1000])), (side, side))
+    vals[1:-1:step, 1:-1:step][taken] = peaks[taken]
+    min_distance = draw(st.one_of(st.sampled_from([1.5, 2.5, math.sqrt(8.0), 3.0, 4.5]),
+                                  st.floats(1.0, 6.0)))
+    return vals, 0.5, min_distance
+
+
+class TestDecoderRulesMatchPreviousRules:
+    @settings(max_examples=150, deadline=None)
+    @given(maps_at_or_above_threshold())
+    def test_every_pixel_at_or_above_the_threshold(self, case):
+        vals, threshold, min_distance = case
+        expected = _previous_extract_peaks(vals, threshold, min_distance)
+        got = extract_peaks(DensityMap(vals), threshold, min_distance).coords
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(suppression_chains())
+    def test_dense_peak_fields(self, case):
+        vals, threshold, min_distance = case
+        expected = _previous_extract_peaks(vals, threshold, min_distance)
+        got = extract_peaks(DensityMap(vals), threshold, min_distance).coords
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("values, kept_x", [
+        # A suppresses B; B's conflict with C does not suppress C.
+        ((3, 2, 1), [2, 6]),
+        # Order A, C, B: B is close to both and suppressed; A and C stay.
+        ((3, 1, 2), [2, 6]),
+        # A falling row of ten peaks keeps every other one.
+        (range(10, 0, -1), [2, 6, 10, 14, 18]),
+    ])
+    def test_suppressed_peak_suppresses_nothing(self, values, kept_x):
+        # Peaks 2 px apart along row 2, so only neighbors conflict at 3 px.
+        values = list(values)
+        vals = np.zeros((5, 2 * len(values) + 3))
+        vals[2, 2:2 + 2 * len(values):2] = values
+        got = extract_peaks(DensityMap(vals), 0.5, 3.0).coords
+        assert got.tolist() == [[x, 2.0] for x in kept_x]
+        assert got.tobytes() == _previous_extract_peaks(vals, 0.5, 3.0).tobytes()
 
 
 class TestSerialization:
@@ -420,6 +623,21 @@ class TestDensityMapValidation:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             DensityMap(np.array([[np.nan]]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=hnp.arrays(np.float64, _SHAPES, elements=st.one_of(
+        st.floats(min_value=0.0, allow_infinity=False),
+        st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, -1.0, 5e-324, -5e-324,
+                         float(np.finfo(np.float64).tiny), float(np.finfo(np.float64).max),
+                         -float(np.finfo(np.float64).max)]),
+        st.floats())))
+    def test_accepts_exactly_the_finite_non_negative_maps(self, values):
+        if np.all(np.isfinite(values)) and not np.any(values < 0):
+            assert DensityMap(values).values.tobytes() == values.tobytes()
+        else:
+            with pytest.raises(ValueError,
+                               match="^density map values must be finite and non-negative$"):
+                DensityMap(values)
 
 
 class TestMapsHaveAPixel:

@@ -417,6 +417,9 @@ class TestDensityAdaptivePass:
 class TestPairsWithin:
     @pytest.mark.parametrize("m", [7, GRID_BACKEND_THRESHOLD - 1, GRID_BACKEND_THRESHOLD, 600])
     def test_equals_dense_mask_on_both_backends(self, m):
+        # Range queries always ask the uniform grid; the sizes straddle
+        # GRID_BACKEND_THRESHOLD, where only the k-NN pass changes path,
+        # so every size here runs the grid. The name predates that.
         rng = np.random.default_rng(41 + m)
         gt = PointSet(np.round(rng.uniform(0, 60, (m, 2)), 1))
         pred = PointSet(np.vstack([np.round(rng.uniform(-5, 65, (300, 2)), 1),
