@@ -78,7 +78,8 @@ def hungarian_solve(cost) -> Assignment:
     Assignment
         ``min(rows, cols)`` pairs covering the smaller side with minimum
         total cost. An empty matrix yields an empty assignment with cost
-        zero (not an error).
+        zero (not an error). Costs whose path lengths, potentials or total
+        overflow float64 raise ValueError.
     """
     cost = as_cost_matrix(cost)
     n, m = cost.shape
@@ -95,39 +96,47 @@ def hungarian_solve(cost) -> Assignment:
         j = int(np.argmin(cost[i]))
         if row_of[j] < 0:
             row_of[j], col_of[i] = i, j
-    for cur in [i for i in range(n) if col_of[i] < 0]:
-        dist = np.full(m, np.inf)
-        via = np.zeros(m, dtype=np.int64)   # row whose entry last lowered dist[j]
-        open_v = v.copy()                   # v, with -inf on settled columns
-        done, done_at = [], []              # settled columns and their path lengths
-        i, reach = cur, 0.0
-        while True:
-            # A settled column's path length reads inf, so it is never
-            # lowered again, and its dist is inf, so it is never picked.
-            r = reach - u[i] + cost[i] - open_v
-            lower = r < dist
-            np.copyto(dist, r, where=lower)
-            np.copyto(via, i, where=lower)
-            j = int(np.argmin(dist))
-            reach = float(dist[j])
-            dist[j], open_v[j] = np.inf, -np.inf
-            done.append(j)
-            done_at.append(reach)
-            if row_of[j] < 0:
-                break
-            i = int(row_of[j])
-        u[cur] += reach
-        delta = reach - np.array(done_at)
-        v[done] -= delta
-        u[row_of[done[:-1]]] += delta[:-1]
-        while True:                         # flip the path from the free column j back to cur
-            i = int(via[j])
-            row_of[j] = i
-            col_of[i], j = j, col_of[i]
-            if i == cur:
-                break
-    pairs = tuple(enumerate(col_of))
-    return Assignment(pairs=pairs, total_cost=math.fsum(cost[i, j] for i, j in pairs))
+    # An overflowed reduced cost, potential or total raises: with every
+    # open column at inf, argmin would pick a settled one forever.
+    try:
+        with np.errstate(over="raise"):
+            for cur in [i for i in range(n) if col_of[i] < 0]:
+                dist = np.full(m, np.inf)
+                via = np.zeros(m, dtype=np.int64)   # row whose entry last lowered dist[j]
+                open_v = v.copy()                   # v, with -inf on settled columns
+                done, done_at = [], []              # settled columns and their path lengths
+                i, reach = cur, 0.0
+                while True:
+                    # A settled column's path length reads inf, so it is never
+                    # lowered again, and its dist is inf, so it is never picked.
+                    r = reach - u[i] + cost[i] - open_v
+                    lower = r < dist
+                    np.copyto(dist, r, where=lower)
+                    np.copyto(via, i, where=lower)
+                    j = int(np.argmin(dist))
+                    reach = float(dist[j])
+                    dist[j], open_v[j] = np.inf, -np.inf
+                    done.append(j)
+                    done_at.append(reach)
+                    if row_of[j] < 0:
+                        break
+                    i = int(row_of[j])
+                u[cur] += reach
+                delta = reach - np.array(done_at)
+                v[done] -= delta
+                u[row_of[done[:-1]]] += delta[:-1]
+                while True:                 # flip the path from the free column j back to cur
+                    i = int(via[j])
+                    row_of[j] = i
+                    col_of[i], j = j, col_of[i]
+                    if i == cur:
+                        break
+        pairs = tuple(enumerate(col_of))
+        total = math.fsum(cost[i, j] for i, j in pairs)
+    except (FloatingPointError, OverflowError):
+        raise ValueError("assignment costs overflow: the costs span more than the "
+                         "float range (about 1.8e308)") from None
+    return Assignment(pairs=pairs, total_cost=total)
 
 
 def max_weight_matching(pi: np.ndarray, gj: np.ndarray, w: np.ndarray,

@@ -50,8 +50,6 @@ _BYTE_CLASS[ord(" ")] = _SPACE
 _BYTE_CLASS[ord("\n")] = _LF
 # Fields of at most 15 digits are below 10**15 < 2**53: exact in int64 and float64.
 _INT_DIGITS = 15
-# A value of more significant digits is at least 10**309, beyond the float range.
-_FLOAT_DIGITS = 309
 
 
 def parse_coord_file(path, label: PointLabel = PointLabel.UNLABELED) -> PointSet:
@@ -103,15 +101,12 @@ def _coordinates(path, data: bytes, buf, ends, lengths) -> np.ndarray:
         values = values * 10 + np.where(lengths >= place, digit, 0)
     values = values.astype(np.float64)
     for f in np.flatnonzero(lengths > _INT_DIGITS).tolist():
-        # Leading zeros add nothing; Python's int refuses 4 300 digits.
-        significant = data[ends[f] - lengths[f]:ends[f]].lstrip(b"0")
-        try:
-            if len(significant) > _FLOAT_DIGITS:
-                raise OverflowError
-            values[f] = float(int(significant or b"0"))
-        except OverflowError:
+        # float() is correctly rounded at any length, leading zeros included,
+        # and gives inf beyond the float range.
+        values[f] = float(data[ends[f] - lengths[f]:ends[f]])
+        if math.isinf(values[f]):
             raise ValueError(f"{path}:{f // 2 + 1}: coordinate out of float range "
-                             "(about 1.8e308)") from None
+                             "(about 1.8e308)")
     return values.reshape(-1, 2)
 
 

@@ -451,8 +451,11 @@ def all_radii(pred: PointSet, gt: PointSet, k: int = DEFAULT_K,
 def _radius(nearest: np.ndarray, floor: float) -> np.ndarray:
     """Adaptive radii from rows of sorted nearest distances: the row
     mean (:func:`_finite_mean`), clamped below by ``floor``. An inf
-    distance raises ValueError (:func:`require_finite_distances`)."""
-    require_finite_distances(nearest[..., -1])
+    distance (between finite points, coordinates that span more than the
+    float range) raises ValueError."""
+    if np.any(np.isinf(nearest[..., -1])):
+        raise ValueError("a distance overflowed: the coordinates span more than "
+                         "the float range (about 1.8e308)")
     return np.maximum(_finite_mean(nearest, axis=-1), floor)
 
 
@@ -471,14 +474,6 @@ def _finite_mean(values: np.ndarray, axis) -> np.ndarray:
         scale = float(2 ** (values.size // mean.size).bit_length())
         mean = np.where(over, (values / scale).mean(axis=axis) * scale, mean)
     return mean
-
-
-def require_finite_distances(distances) -> None:
-    """Raise ValueError if any of ``distances`` is inf: between finite
-    points that means the coordinates span more than the float range."""
-    if np.any(np.isinf(distances)):
-        raise ValueError("a distance overflowed: the coordinates span more than "
-                         "the float range (about 1.8e308)")
 
 
 def pairwise_distances(a: PointSet, b: PointSet) -> np.ndarray:

@@ -174,8 +174,8 @@ def match_points(pred: PointSet, gt: PointSet, cfg: MatchConfig = MatchConfig())
     no chosen edge covers is reported unmatched. Output is deterministic.
     Either set may be empty.
     """
-    if len(pred) == 0 or len(gt) == 0:
-        return _all_unmatched(len(pred), len(gt))
+    if len(gt) == 0:   # no nearest neighbours to find
+        return _assemble(*[np.zeros(0, np.int64)] * 4, len(pred), 0)
     _, radii, edges = _knn(pred.coords, gt, cfg.k, cfg.radius_floor)
     return _solve_edges(*edges, radii, cfg, len(pred), len(gt))
 
@@ -237,7 +237,7 @@ def brute_force_match(pred: PointSet, gt: PointSet, cfg: MatchConfig = MatchConf
             or math.perm(max(n, m), min(n, m)) > math.factorial(BRUTE_FORCE_LIMIT)):
         raise ValueError("oracle instance too large")
     if n == 0 or m == 0:
-        return _all_unmatched(n, m)
+        return _assemble(*[np.zeros(0, np.int64)] * 4, n, m)
     if radii is None:
         radii = all_radii(pred, gt, cfg.k, cfg.radius_floor)
     wm = build_weight_matrix(pred, gt, radii, cfg)
@@ -255,11 +255,6 @@ def brute_force_match(pred: PointSet, gt: PointSet, cfg: MatchConfig = MatchConf
             best, best_total = perms[k], totals[k]
     pairs = np.column_stack((np.arange(small), best))
     return _assemble_solved(wm, pairs if n <= m else pairs[np.argsort(best), ::-1])
-
-
-def _all_unmatched(n: int, m: int) -> MatchResult:
-    return MatchResult(pairs=(), unmatched_pred=tuple(range(n)),
-                       unmatched_gt=tuple(range(m)), total_weight=0.0)
 
 
 def _sigma(rad, cfg: MatchConfig):

@@ -284,6 +284,11 @@ def sample_separated(n: int, width: float, height: float, min_separation: float,
     # Any cell of at least min_separation / sqrt(2) keeps the 5 x 5 search
     # exact; the second bound keeps x / cell finite for a subnormal one.
     cell = max(min_separation / math.sqrt(2), max(width, height) * 2.0 ** -52)
+    # Squares are compared in units of 2**-shift, which bring the cell to
+    # [0.5, 1): exact, and finite for separations and spans up to the
+    # float maximum.
+    shift = -math.frexp(cell)[1]
+    sep2 = math.ldexp(min_separation, shift) ** 2
     grid: dict[tuple[int, int], list[tuple[float, float]]] = {}
     rng = Prng(seed)
     placed: list[tuple[float, float]] = []
@@ -293,11 +298,12 @@ def sample_separated(n: int, width: float, height: float, min_separation: float,
             y = rng.uniform_in(margin, height - margin)
             if min_separation > 0:
                 i, j = math.floor(x / cell), math.floor(y / cell)
-                if not all((x - px) ** 2 + (y - py) ** 2 >= min_separation ** 2
+                xs, ys = math.ldexp(x, shift), math.ldexp(y, shift)
+                if not all((xs - px) ** 2 + (ys - py) ** 2 >= sep2
                            for a in range(i - 2, i + 3) for b in range(j - 2, j + 3)
                            for px, py in grid.get((a, b), ())):
                     continue
-                grid.setdefault((i, j), []).append((x, y))
+                grid.setdefault((i, j), []).append((xs, ys))
             placed.append((x, y))
             break
         else:

@@ -1,11 +1,15 @@
 import heapq
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+import countmatch
 from countmatch.assignment import as_cost_matrix, hungarian_solve, max_weight_matching
 from countmatch.geometry import PointSet, all_radii, pairs_within
 from countmatch.matching import MatchConfig, build_weight_matrix
@@ -138,6 +142,31 @@ class TestSmallCases:
             hungarian_solve([[1.0, np.inf]])
         with pytest.raises(ValueError, match="2-D"):
             as_cost_matrix([1.0, 2.0])
+
+    def test_path_lengths_beyond_float_range_raise(self):
+        # The reduced costs overflow and every open column reads inf. This
+        # once looped forever, so it runs in a child process with a timeout.
+        code = "from countmatch.assignment import hungarian_solve\n" \
+               "hungarian_solve([[-1e308, 1e308], [-1e308, 1e308]])\n"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(countmatch.__file__))}
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               env=env, timeout=60)
+        assert child.returncode == 1
+        assert child.stderr.splitlines()[-1] == (
+            "ValueError: assignment costs overflow: the costs span more than the float "
+            "range (about 1.8e308)")
+
+    def test_total_beyond_float_range_raises(self):
+        # The optimum is -2e308.
+        with pytest.raises(ValueError, match="^assignment costs overflow"):
+            hungarian_solve([[1e308, -1e308], [-1e308, 1e308]])
+
+    def test_overflow_in_an_unpicked_column_raises(self):
+        # Row 0's path length to column 1 overflows, though column 1 is
+        # never picked and every assignment totals -1e308. An overflowed
+        # sum can also hide a finite path length, so any overflow raises.
+        with pytest.raises(ValueError, match="^assignment costs overflow"):
+            hungarian_solve([[-1e308, 1e308, 0], [-1e308, 5, 0]])
 
     def test_assignment_structure(self):
         a = hungarian_solve(np.arange(12, dtype=float).reshape(3, 4))

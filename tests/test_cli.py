@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import countmatch
 from countmatch import cli
 from countmatch.geometry import PointLabel, PointSet
 from countmatch.matching import MatchConfig, match_points
@@ -83,6 +88,8 @@ _coord_lines = st.tuples(_digit_runs, _digit_runs,
                          st.sampled_from([b"\n", b"\r\n", b"\r", b""]),
                          st.sampled_from([b" ", b" ", b" ", b"  ", b"\t", b"\xff "])
                          ).map(lambda t: t[0] + t[3] + t[1] + t[2])
+# The largest float as an integer, and half its unit in the last place.
+_FLOAT_MAX, _HALF_ULP = int(np.finfo(np.float64).max), 2 ** 970
 _coord_values = st.one_of(
     st.integers(0, 10 ** 6).map(float),
     st.integers(-3, 2 ** 54).map(lambda i: i / 2),
@@ -181,12 +188,40 @@ class TestCoordFileFormat:
                                              r"\(about 1\.8e308\)$"):
             cli.parse_coord_file(path)
 
+    def test_one_long_field_among_many_costs_its_own_length(self, tmp_path):
+        # A million leading zeros beside 2 000 sixteen-digit fields: the
+        # parse stays linear in the file, with no buffer as wide as the
+        # longest field for every long one.
+        values = np.random.default_rng(0).integers(10 ** 15, 10 ** 16, (1000, 2))
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"0" * 10 ** 6 + b"1 3\n"
+                         + b"".join(b"%d %d\n" % (x, y) for x, y in values.tolist()))
+        tracemalloc.start()
+        try:
+            coords = cli.parse_coord_file(path).coords
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coords.tolist() == [[1.0, 3.0]] + values.astype(float).tolist()
+        assert peak < 64 * 2 ** 20
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.one_of(
         st.lists(st.one_of(st.sampled_from(_COORD_BYTES), _digit_runs), max_size=24),
         st.lists(_coord_lines, max_size=12)).map(b"".join))
     @example(data=b"0" * 300 + b"1 " + b"7" * 310 + b"\r\n")
     @example(data=b"9999999999999999999 12345678901234567\n")
+    # The float maximum's rounding boundary: max + ulp/2 is the first
+    # integer that rounds to inf.
+    @example(data=b"%d %d\n%d 1\n" % (_FLOAT_MAX, _FLOAT_MAX + _HALF_ULP - 1,
+                                       _FLOAT_MAX + _HALF_ULP))
+    @example(data=b"1 %d\n" % (_FLOAT_MAX + 2 * _HALF_ULP))
+    # Out of float range, with 325 significant digits.
+    @example(data=b"0000016630645165165494178606613281463127763166112681862008471311857541"
+                  b"0457962616032239348321303348817822246870734737337800933844176228051382"
+                  b"5424304801184724948015596955698410225727624052228179932903741573472303"
+                  b"7829992146511304796627272454818723672437510696787139013411491624253922"
+                  b"56466620237542457026405301150339939863107754756426 0")
     def test_parse_equals_line_loop(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("diff") / "f.txt"
         path.write_bytes(data)
@@ -556,6 +591,18 @@ class TestExitCodeDiscipline:
             assert captured.out == ""
             assert "unrecognized arguments" in captured.err
 
+    def test_module_entry_point_exits_with_main_code(self, tmp_path):
+        # python -m countmatch.cli runs run(), which exits with main()'s code.
+        good = write(tmp_path / "good.txt", "1 1\n5 5\n")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(countmatch.__file__))}
+        for other, code in ((good, 0), (str(tmp_path / "missing.txt"), 2)):
+            child = subprocess.run([sys.executable, "-m", "countmatch.cli", "match", good, other],
+                                   capture_output=True, text=True, env=env, timeout=60)
+            assert child.returncode == code
+            assert len(child.stderr.splitlines()) == (code != 0)
+            assert "Traceback" not in child.stderr
+            assert ("pred_count: 2" in child.stdout) == (code == 0)
+
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         assert cli.main(["match", "--help"]) == 0
@@ -644,6 +691,8 @@ _CONTRACT_CASES = {
                                      "--size", "3", "--renormalize"], 2),
     # 20 000 points a side: the grid path of the matcher, end to end.
     "very-large-files": (["match", "{pred_large}", "{gt_large}", "--out", "{out}"], 0),
+    # 2 000 points: the bench preset on the grid path of the k-NN pass.
+    "bench-match-large": (["bench", "match-large"], 0),
 }
 
 

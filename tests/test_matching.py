@@ -657,7 +657,7 @@ def _whole_array_oracle(pred, gt, cfg=MatchConfig(), radii=None):
     every mapping in one array, one argmax."""
     n, m = len(pred), len(gt)
     if n == 0 or m == 0:
-        return matching._all_unmatched(n, m)
+        return matching._assemble(*[np.zeros(0, np.int64)] * 4, n, m)
     if radii is None:
         radii = all_radii(pred, gt, cfg.k, cfg.radius_floor)
     wm = build_weight_matrix(pred, gt, radii, cfg)

@@ -329,6 +329,20 @@ class TestSampleSeparatedGrid:
                                            max_attempts_per_point=1)
         assert got.coords.tobytes() == want.coords.tobytes()
 
+    def test_separation_whose_square_overflows(self):
+        with pytest.raises(ValueError) as got:
+            sample_separated(2, 100, 100, 2e154)
+        assert str(got.value) == "infeasible packing: placed 1 of 2 points at separation 2e+154"
+
+    @pytest.mark.parametrize("shift", [-1000, 600, 1015])
+    def test_power_of_two_scaling_up_to_float_max(self, shift):
+        # Scaling every length by 2**shift scales the points exactly; at
+        # 2**1015 the scene spans 2**1023 and the separation is 2**1019.
+        want = sample_separated(40, 256, 256, 16, margin=8, seed=3).coords
+        got = sample_separated(40, *(math.ldexp(v, shift) for v in (256, 256, 16)),
+                               margin=math.ldexp(8, shift), seed=3).coords
+        assert got.tobytes() == np.ldexp(want, shift).tobytes()
+
     def test_subnormal_separation_equals_zero(self):
         got = sample_separated(5, 10.0, 10.0, 1e-310)
         assert got.coords.tobytes() == sample_separated(5, 10.0, 10.0, 0.0).coords.tobytes()
