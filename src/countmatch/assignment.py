@@ -55,16 +55,6 @@ class Assignment:
         return len(self.pairs)
 
 
-def as_cost_matrix(values) -> np.ndarray:
-    """Validate and coerce an array-like into a dense float64 cost matrix."""
-    cost = np.asarray(values, dtype=np.float64)
-    if cost.ndim != 2:
-        raise ValueError(f"cost matrix must be 2-D, got shape {cost.shape}")
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("cost matrix entries must be finite")
-    return cost
-
-
 def hungarian_solve(cost) -> Assignment:
     """Solve the rectangular assignment problem exactly.
 
@@ -81,7 +71,11 @@ def hungarian_solve(cost) -> Assignment:
         zero (not an error). Costs whose path lengths, potentials or total
         overflow float64 raise ValueError.
     """
-    cost = as_cost_matrix(cost)
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2:
+        raise ValueError(f"cost matrix must be 2-D, got shape {cost.shape}")
+    if not np.all(np.isfinite(cost)):
+        raise ValueError("cost matrix entries must be finite")
     n, m = cost.shape
     if n > m:
         transposed = hungarian_solve(np.ascontiguousarray(cost.T))

@@ -1,7 +1,8 @@
 """Density-adaptive bipartite point matching.
 
 Pipeline: per-prediction adaptive radii (mean distance to the k nearest
-ground-truth points) -> Gaussian weights of the pairs within each radius
+ground-truth points) -> Gaussian weights of the pairs within each radius,
+of a width scaled to that radius or fixed (the rule is :func:`_gaussian`)
 -> exact Hungarian assignment maximizing total weight over those pairs.
 A prediction can therefore only claim a ground-truth point inside its
 own neighborhood scale, which is what prevents false matches in dense
@@ -142,11 +143,10 @@ class MatchResult:
 def gaussian_weight(d: float, sigma: float) -> float:
     """exp(-d^2 / (2 sigma^2)): 1 at distance zero, decaying with squared
     distance."""
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise ValueError("invalid sigma")
+    cfg = MatchConfig(sigma_mode=SigmaMode.FIXED, sigma_value=sigma)
     if not math.isfinite(d):
         raise ValueError("distance must be finite")
-    return float(_gaussian(np.float64(d), sigma))
+    return float(_gaussian(np.float64(d), None, cfg))
 
 
 def build_weight_matrix(pred: PointSet, gt: PointSet, radii: RadiusProfile,
@@ -160,7 +160,7 @@ def build_weight_matrix(pred: PointSet, gt: PointSet, radii: RadiusProfile,
             f"radius profile length {len(radii)} does not match predictions {len(pred)}")
     d = pairwise_distances(pred, gt)
     rad = radii.radii[:, None]
-    values = _gaussian(d, _sigma(rad, cfg))
+    values = _gaussian(d, rad, cfg)
     in_radius = (d <= rad) & (values > 0.0)
     values = np.where(in_radius, values, 0.0)
     return WeightMatrix(values=values, in_radius=in_radius, distances=d)
@@ -212,7 +212,7 @@ def _solve_edges(pi: np.ndarray, gj: np.ndarray, d: np.ndarray, radii: np.ndarra
                  cfg: MatchConfig, n: int, m: int) -> MatchResult:
     """Weights of the in-radius pairs (pi, gj, d), ordered by prediction
     then gt, one sparse solve over the edges, and the result."""
-    w = _gaussian(d, _sigma(radii[pi], cfg))
+    w = _gaussian(d, radii[pi], cfg)
     edge = w > 0.0
     pi, gj, d, w = pi[edge], gj[edge], d[edge], w[edge]
     keep = max_weight_matching(pi, gj, w, n, m)
@@ -253,40 +253,32 @@ def brute_force_match(pred: PointSet, gt: PointSet, cfg: MatchConfig = MatchConf
         k = int(np.argmax(totals))
         if totals[k] > best_total:
             best, best_total = perms[k], totals[k]
-    pairs = np.column_stack((np.arange(small), best))
-    return _assemble_solved(wm, pairs if n <= m else pairs[np.argsort(best), ::-1])
+    chosen = np.zeros(side.shape, dtype=bool)
+    chosen[np.arange(small), best] = True
+    # Row-major nonzero hands the kept edges over in prediction order.
+    i, j = np.nonzero((chosen if n <= m else chosen.T) & wm.in_radius)
+    return _assemble(i, j, wm.distances[i, j], wm.values[i, j], n, m)
 
 
-def _sigma(rad, cfg: MatchConfig):
-    """Gaussian width for radii ``rad`` under ``cfg``."""
-    return cfg.sigma_value if cfg.sigma_mode is SigmaMode.FIXED else cfg.sigma_value * rad
+def _gaussian(d: np.ndarray, rad, cfg: MatchConfig) -> np.ndarray:
+    """Gaussian weights exp(-d^2 / (2 sigma^2)) of distances ``d``, with the
+    width sigma = ``cfg.sigma_value``, times the radius ``rad`` (broadcast
+    against ``d``) under SigmaMode.RADIUS_SCALED.
 
-
-def _gaussian(d: np.ndarray, sigma) -> np.ndarray:
-    """Gaussian weights of distances ``d`` for widths ``sigma`` (broadcast).
-
-    Computed as exp(-d^2 / (2 sigma^2)). Where d^2 overflows, or 2 sigma^2
-    overflows or falls below the smallest normal float, that quotient
-    would read inf/inf, 0/0 or a wrong 0 or 1, so those entries are
-    computed as exp(-(d / sigma)^2 / 2) instead.
+    Where d^2 overflows, or 2 sigma^2 overflows or falls below the smallest
+    normal float, that quotient would read inf/inf, 0/0 or a wrong 0 or 1,
+    so those entries are computed as exp(-(d / sigma)^2 / 2) instead: an
+    infinite width weighs 1, and so does distance 0. Nothing warns.
     """
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        sigma = cfg.sigma_value if cfg.sigma_mode is SigmaMode.FIXED else cfg.sigma_value * rad
         num, den = d * d, 2.0 * sigma * sigma
         w = np.exp(-num / den)
         off = np.isinf(num) | ~(np.isfinite(den) & (den >= np.finfo(np.float64).tiny))
         if np.any(off):
-            ratio = d / sigma
+            ratio = np.where(d != 0, d / sigma, 0.0)
             w = np.where(off, np.exp(-0.5 * ratio * ratio), w)
     return w
-
-
-def _assemble_solved(wm: WeightMatrix, solver_pairs) -> MatchResult:
-    """Result of a solve on the dense matrix: non-edge pairs are stripped."""
-    ij = np.asarray(solver_pairs, dtype=np.int64).reshape(-1, 2)
-    ij = ij[wm.in_radius[ij[:, 0], ij[:, 1]]]
-    i, j = ij[:, 0], ij[:, 1]
-    n, m = wm.values.shape
-    return _assemble(i, j, wm.distances[i, j], wm.values[i, j], n, m)
 
 
 def _assemble(pi: np.ndarray, gj: np.ndarray, dist: np.ndarray, weight: np.ndarray,

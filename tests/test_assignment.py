@@ -10,7 +10,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import countmatch
-from countmatch.assignment import as_cost_matrix, hungarian_solve, max_weight_matching
+from countmatch.assignment import hungarian_solve, max_weight_matching
 from countmatch.geometry import PointSet, all_radii, pairs_within
 from countmatch.matching import MatchConfig, build_weight_matrix
 
@@ -141,7 +141,7 @@ class TestSmallCases:
         with pytest.raises(ValueError, match="finite"):
             hungarian_solve([[1.0, np.inf]])
         with pytest.raises(ValueError, match="2-D"):
-            as_cost_matrix([1.0, 2.0])
+            hungarian_solve([1.0, 2.0])
 
     def test_path_lengths_beyond_float_range_raise(self):
         # The reduced costs overflow and every open column reads inf. This

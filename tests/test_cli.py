@@ -667,6 +667,14 @@ _CONTRACT_CASES = {
     "digits-5000": (["match", "{too_many_digits}", "{good}"], 2),
     "k-0": (["match", "{good}", "{good}", "--k", "0"], 2),
     "sigma-nan": (["match", "{good}", "{good}", "--sigma-value", "nan"], 2),
+    # Widths beyond the float range: sigma_value * radius overflows to inf,
+    # or 2 sigma^2 underflows to 0 under distances that do not.
+    "sigma-1e308-match": (["match", "{good}", "{good}", "--sigma-value", "1e308"], 0),
+    "sigma-1e308-eval": (["eval", "{good}", "{good}", "--sigma-value", "1e308"], 0),
+    "sigma-1e300-floor-1e308": (["match", "{good}", "{good}", "--sigma-value", "1e300",
+                                 "--radius-floor", "1e308"], 0),
+    "sigma-1e-300": (["match", "{good}", "{good}", "--sigma-value", "1e-300",
+                      "--radius-floor", "10"], 0),
     "manifest-missing": (["eval", "--manifest", "{manifest}"], 2),
     "manifest-skip-missing": (["eval", "--manifest", "{manifest}", "--skip-missing"], 0),
     "noise-inf": (_SYNTH + ["--noise", "inf"], 2),

@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
 import math
+import sys
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, min_weight_full_bipartite_matching
@@ -58,6 +59,18 @@ def scipy_sparse_optimum(pi, gj, w, n, m):
     return math.fsum(weight[a, b] for a, b in zip(r.tolist(), c.tolist()) if b < m)
 
 
+def dense_private_column_pairs(wm):
+    """Pairs of the dense private-column problem that the sparse solve reads
+    as an edge list: -w on the edges, 0 on each row's own private column
+    m + n - 1 - i, 1.0 elsewhere. Under the one tie rule the dense and the
+    sparse solve return the same pairs, ties included."""
+    n, m = wm.values.shape
+    cost = np.ones((n, m + n))
+    cost[:, :m][wm.in_radius] = -wm.values[wm.in_radius]
+    cost[np.arange(n), m + n - 1 - np.arange(n)] = 0.0
+    return [(i, j) for i, j in hungarian_solve(cost).pairs if j < m]
+
+
 def check_result_invariants(result, n_pred, n_gt):
     assert result.n_pred == n_pred
     assert result.n_gt == n_gt
@@ -94,12 +107,37 @@ class TestGaussianWeight:
             gaussian_weight(1.0, -2.0)
 
     @pytest.mark.parametrize("d, sigma", [(1e308, 5e307), (1.3e154, 1e154), (0.0, 1e200),
-                                          (1e-200, 1e-200), (3e-170, 2e-170)])
+                                          (1e-200, 1e-200), (3e-170, 2e-170),
+                                          (0.5, 1e-170), (1.0, 5e-324)])
     def test_squares_beyond_float_range(self, d, sigma):
         # d^2 or 2 sigma^2 overflows or underflows; the weight is still
-        # exp(-(d / sigma)^2 / 2).
-        assert gaussian_weight(d, sigma) == pytest.approx(
-            math.exp(-0.5 * (d / sigma) ** 2), rel=1e-12)
+        # exp(-(d / sigma)^2 / 2). In the last two, 2 sigma^2 underflows to
+        # 0 while d^2 does not, and Python's (d / sigma) ** 2 would
+        # overflow: the weight is 0.
+        ratio = d / sigma
+        expected = math.exp(-0.5 * ratio ** 2) if ratio < 1e150 else 0.0
+        assert gaussian_weight(d, sigma) == pytest.approx(expected, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, sys.float_info.max),
+                              st.floats(5e-324, 1e308)), min_size=1, max_size=8),
+           st.floats(5e-324, sys.float_info.max), st.sampled_from(SigmaMode))
+    @example([(0.0, 1e-3), (1.0, 1e-3)], 5e-324, SigmaMode.RADIUS_SCALED)   # sigma rounds to 0
+    def test_weight_rule_never_warns(self, pairs, sigma_value, mode):
+        # Any finite distance, radius and width: no warning (an error under
+        # the test settings), and every weight in [0, 1]. Where d^2 and
+        # 2 sigma^2 are both normal floats, the weight is exp(-d^2 / (2
+        # sigma^2)) to the bit.
+        d, rad = (np.array(c) for c in zip(*pairs))
+        cfg = MatchConfig(sigma_mode=mode, sigma_value=sigma_value)
+        w = matching._gaussian(d, rad, cfg)
+        assert w.shape == d.shape and np.all((w >= 0.0) & (w <= 1.0))
+        with np.errstate(over="ignore", under="ignore"):
+            sigma = np.full_like(d, sigma_value) if mode is SigmaMode.FIXED else sigma_value * rad
+            num, den = d * d, 2.0 * sigma * sigma
+        normal = np.isfinite(num) & np.isfinite(den) & (den >= np.finfo(np.float64).tiny)
+        with np.errstate(over="ignore", under="ignore"):
+            assert np.array_equal(w[normal], np.exp(-num[normal] / den[normal]))
 
 
 class TestWeightMatrix:
@@ -354,6 +392,34 @@ class TestUnderflowedWeights:
         assert [(p.pred_index, p.gt_index) for p in result.pairs] == [(1, 0)]
 
 
+class TestWidthBeyondFloatRange:
+    def test_overflowing_width_weighs_every_edge_one(self):
+        # sigma_value * radius overflows to inf: every edge weighs 1. Under
+        # the 1e308 floor every pair is an edge, so every gt is matched.
+        rng = np.random.default_rng(72)
+        pred = PointSet(rng.uniform(0, 10, (12, 2)))
+        gt = PointSet(rng.uniform(0, 10, (9, 2)))
+        for cfg, matched in ((MatchConfig(sigma_value=1e308), 6),
+                             (MatchConfig(sigma_value=1e300, radius_floor=1e308), 9)):
+            result = match_points(pred, gt, cfg)
+            check_result_invariants(result, 12, 9)
+            assert [p.weight for p in result.pairs] == [1.0] * matched
+
+    def test_underflowing_width_square(self):
+        # 2 sigma^2 underflows to 0 while d^2 does not: the weight is 0, so
+        # the pair is no edge.
+        result = match_points(PointSet([(0, 0)]), PointSet([(0.5, 0)]),
+                              MatchConfig(sigma_value=1e-300))
+        assert result.pairs == () and result.unmatched_pred == (0,)
+
+    def test_coincident_pair_where_the_width_underflows_to_zero(self):
+        # sigma = 5e-324 * the floor 1e-3 rounds to 0; distance 0 still
+        # weighs 1.
+        pt = PointSet([(3.0, 4.0)])
+        result = match_points(pt, pt, MatchConfig(k=1, sigma_value=5e-324))
+        assert [(p.pred_index, p.gt_index, p.weight) for p in result.pairs] == [(0, 0, 1.0)]
+
+
 class TestSparsePath:
     def test_forbid_never_builds_the_dense_matrix(self, monkeypatch):
         def dense(*args, **kwargs):
@@ -466,10 +532,6 @@ class TestTieRule:
 
 
     def test_dense_solve_takes_the_sparse_pairs(self):
-        # The same private-column problem as a dense matrix: -w on the
-        # edges, 0 on each row's own private column m + n - 1 - i, 1.0
-        # elsewhere. Under the one tie rule the dense and the sparse
-        # solve return the same pairs, ties included.
         rng = np.random.default_rng(24)
         for _ in range(400):
             n, m = rng.integers(1, 41, 2)
@@ -477,11 +539,8 @@ class TestTieRule:
             pred = PointSet(np.round(rng.uniform(0, extent, (n, 2))))
             gt = PointSet(np.round(rng.uniform(0, extent, (m, 2))))
             wm = build_weight_matrix(pred, gt, all_radii(pred, gt), MatchConfig())
-            cost = np.ones((n, m + n))
-            cost[:, :m][wm.in_radius] = -wm.values[wm.in_radius]
-            cost[np.arange(n), m + n - 1 - np.arange(n)] = 0.0
-            dense = [(i, j) for i, j in hungarian_solve(cost).pairs if j < m]
-            assert dense == [(p.pred_index, p.gt_index) for p in match_points(pred, gt).pairs]
+            assert dense_private_column_pairs(wm) == [
+                (p.pred_index, p.gt_index) for p in match_points(pred, gt).pairs]
 
 
 class TestSubResolutionWeights:
@@ -500,14 +559,10 @@ class TestSubResolutionWeights:
             offset = rng.uniform(2, 5, m)[:, None] * direction
             pred = np.vstack([gt + offset, gt[:int(rng.integers(0, 3))]])
             pred, gt = PointSet(rng.permutation(pred)), PointSet(gt)
-            n = len(pred)
             wm = build_weight_matrix(pred, gt, all_radii(pred, gt, cfg.k, cfg.radius_floor), cfg)
-            cost = np.ones((n, m + n))
-            cost[:, :m][wm.in_radius] = -wm.values[wm.in_radius]
-            cost[np.arange(n), m + n - 1 - np.arange(n)] = 0.0
-            dense = [(i, j) for i, j in hungarian_solve(cost).pairs if j < m]
             result = match_points(pred, gt, cfg)
-            assert dense == [(p.pred_index, p.gt_index) for p in result.pairs]
+            assert dense_private_column_pairs(wm) == [
+                (p.pred_index, p.gt_index) for p in result.pairs]
 
 
 class TestFarPrediction:
@@ -627,8 +682,8 @@ class TestRowsWithoutEdges:
         # Fixed radii of 0.5-2.5 px on integer points leave many
         # predictions without any edge, before, between and after
         # predictions with edges. The pairs must equal those of the dense
-        # private-column problem (as in TestTieRule) and the total that of
-        # the dense reference solve.
+        # private-column problem and the total that of the dense reference
+        # solve.
         rng = np.random.default_rng(31)
         mixed = 0
         for _ in range(300):
@@ -641,11 +696,8 @@ class TestRowsWithoutEdges:
             mixed += bool(edgeless.any() and not edgeless.all())
             result = match_with_radii(pred, gt, radii)
             check_result_invariants(result, n, m)
-            cost = np.ones((n, m + n))
-            cost[:, :m][wm.in_radius] = -wm.values[wm.in_radius]
-            cost[np.arange(n), m + n - 1 - np.arange(n)] = 0.0
-            dense = [(i, j) for i, j in hungarian_solve(cost).pairs if j < m]
-            assert dense == [(p.pred_index, p.gt_index) for p in result.pairs]
+            assert dense_private_column_pairs(wm) == [
+                (p.pred_index, p.gt_index) for p in result.pairs]
             ref = hungarian_solve(-wm.values)
             assert result.total_weight == pytest.approx(-ref.total_cost, abs=1e-9)
             assert set(np.flatnonzero(edgeless).tolist()) <= set(result.unmatched_pred)
@@ -667,7 +719,10 @@ def _whole_array_oracle(pred, gt, cfg=MatchConfig(), radii=None):
     perms = np.array(list(itertools.permutations(range(large), small)), dtype=np.int64)
     totals = side[np.arange(small)[None, :], perms].sum(axis=1)
     pairs = np.column_stack((np.arange(small), perms[int(np.argmax(totals))]))
-    return matching._assemble_solved(wm, pairs if n <= m else pairs[:, ::-1])
+    i, j = (pairs if n <= m else pairs[:, ::-1]).T
+    edge = wm.in_radius[i, j]
+    i, j = i[edge], j[edge]
+    return matching._assemble(i, j, wm.distances[i, j], wm.values[i, j], n, m)
 
 
 def _tied_instance(rng, n, m):
