@@ -16,6 +16,16 @@ partition, not a sort of every candidate. Every query here is exact:
 the grid returns the same distances as a full scan, it only prunes the
 candidate set.
 
+Both queries pick their candidates on squared distances, ``dx * dx +
+dy * dy``, against one bound on the square of the radius that decides
+the result (:func:`_square_bound`), and compute the exact distance,
+``hypot``, only for the survivors. The bound has a relative margin for
+the rounding of squares, square roots and means, and an absolute term
+for squares that underflow, below about 1e-162; where the radius's
+square overflows, from about 1.3e154, it is inf and keeps every pair.
+So every distance, radius and edge is the one a ``hypot`` of every pair
+would give.
+
 The adaptive radius of a query point is the mean of its distances to the
 k nearest target points, clamped below by a configurable floor. It
 contracts where targets are dense and expands where they are sparse,
@@ -141,13 +151,19 @@ class RadiusProfile:
         radii = np.asarray(self.radii, dtype=np.float64)
         radii.setflags(write=False)
         object.__setattr__(self, "radii", radii)
-        if self.k < 1:
-            raise ValueError("invalid k")
+        _validate_k(self.k)
         if not np.all(np.isfinite(radii)) or np.any(radii < 0):
             raise ValueError("radii must be finite and non-negative")
 
     def __len__(self) -> int:
         return self.radii.shape[0]
+
+
+def _validate_k(k) -> None:
+    """The neighbour-count rule: k is a positive ``int`` or numpy integer,
+    not a ``bool``."""
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
+        raise ValueError("invalid k")
 
 
 class _UniformGrid:
@@ -230,9 +246,10 @@ class _UniformGrid:
         the queries: query indices (non-decreasing, inside ``chunk``),
         point indices (in no set order within a query) and distances. A
         chunk gathers at most ``_SCAN_BLOCK_CELLS`` candidate points and
-        box columns, unless one query alone needs more. Rows are gathered
-        with ``take``, which copies contiguous rows faster than fancy
-        indexing.
+        box columns, unless one query alone needs more. Each coordinate
+        column is gathered with ``take``, and only the pairs whose squared
+        distance is within :func:`_square_bound` of their radius get an
+        exact distance.
         """
         # Widen each box by a few ulps so rounding in q -/+ r cannot drop
         # a point lying exactly on the disc's edge. Cell indices are
@@ -247,6 +264,7 @@ class _UniformGrid:
         hi = np.clip(hi, 0, self.shape).astype(np.int64)
         ncols = np.where(hi[:, 1] > lo[:, 1], hi[:, 0] - lo[:, 0], 0)
         cost = np.cumsum(self._occupancy(lo, hi) + ncols)
+        bound = _square_bound(radii)
         ny = self.shape[1]
         s = 0
         while s < len(queries):
@@ -258,7 +276,12 @@ class _UniformGrid:
             lens = self.starts.take(ix + hi[:, 1].take(cols)) - first
             ti = self.order.take(_ranges(first, lens))
             qi = np.repeat(cols, lens)
-            d = _distances(self.coords.take(ti, axis=0), queries.take(qi, axis=0))
+            with np.errstate(over="ignore"):
+                dx = self.coords[:, 0].take(ti) - queries[:, 0].take(qi)
+                dy = self.coords[:, 1].take(ti) - queries[:, 1].take(qi)
+                near = np.flatnonzero(dx * dx + dy * dy <= bound.take(qi))
+            qi, ti = qi.take(near), ti.take(near)
+            d = _hypot(dx.take(near), dy.take(near))
             keep = d <= radii.take(qi)
             yield slice(s, e), qi[keep], ti[keep], d[keep]
             s = e
@@ -275,11 +298,40 @@ def _distances(a, b) -> np.ndarray:
     """Euclidean distances between broadcast (..., 2) coordinate arrays.
 
     A distance beyond the float range is inf, without a warning: the
-    farthest possible, outside any finite disc.
+    farthest possible, outside any finite disc. The queries compute it
+    only for candidates whose squared distance is within
+    :func:`_square_bound` of the radius that decides their result, so
+    every exact distance is :func:`_hypot` of the same differences.
     """
     with np.errstate(over="ignore"):
         diff = np.subtract(a, b)
-        return np.hypot(diff[..., 0], diff[..., 1])
+    return _hypot(diff[..., 0], diff[..., 1])
+
+
+def _hypot(dx, dy, where=True) -> np.ndarray:
+    """The exact distance of the differences ``(dx, dy)``, inf where
+    ``where`` is False (those entries cost no ``hypot``)."""
+    with np.errstate(over="ignore"):
+        return np.hypot(dx, dy, out=np.full(np.shape(dx), np.inf), where=where)
+
+
+def _square_bound(r):
+    """A bound on ``dx * dx + dy * dy`` for every pair whose
+    :func:`_hypot` is at most ``r``.
+
+    ``hypot`` is within an ulp of the true distance and the sum of two
+    rounded squares within a few ulps of its square, so a relative margin
+    of 32 ulps of 1 on ``r * r`` covers both, and what a k-NN scan adds
+    on top of it: the square root of a row's k-th smallest square, and a
+    mean of up to 255 distances that rounds above the largest. Squares
+    below the smallest normal float lose their relative precision to
+    underflow; the absolute term, four times that float, covers them.
+    Where ``r * r`` overflows the bound is inf and keeps every pair,
+    those whose squares overflow too; a pair within a finite ``r * r``
+    has finite squares.
+    """
+    with np.errstate(over="ignore"):
+        return r * r * (1 + 2.0 ** -47) + 2.0 ** -1020
 
 
 def knn_distances(query: PointLike, targets: PointSet, k: int) -> np.ndarray:
@@ -326,13 +378,17 @@ def _knn(queries: np.ndarray, targets: PointSet, k: int, floor: Optional[float] 
     distances from ``queries[i]`` to ``targets``, in non-decreasing order.
 
     Below ``GRID_BACKEND_THRESHOLD`` targets the queries are scanned
-    against every target in bounded blocks. At or above it each query
-    asks the grid for a disc that starts at the distance to the cloud's
-    bounding box plus :meth:`_UniformGrid.start_radii`, a radius read
-    from the occupancy of the cells around the query, or at the floor if
-    that is larger, and doubles until it holds k targets; a disc holding
-    k targets contains the k nearest, so the result is exact. Each row's
-    k smallest are selected by :func:`_row_smallest`. Memory is
+    against every target in bounded blocks. A row's distances are exact
+    within :func:`_square_bound` of the larger of the floor and the root
+    of its k-th smallest square, and inf beyond; the row is then sorted
+    whole, as numpy sorts rows this short faster than it partitions
+    them. At or above it each query asks the grid for a disc that starts
+    at the distance to the cloud's bounding box plus
+    :meth:`_UniformGrid.start_radii`, a radius read from the occupancy
+    of the cells around the query, or at the floor if that is larger,
+    and doubles until it holds k targets; a disc holding k targets
+    contains the k nearest, so the result is exact. Each row's k
+    smallest are selected by :func:`_row_smallest`. Memory is
     O(len(queries) * k + block + edges).
 
     Returns ``(nearest, radii, edges)``. Given a ``floor``, ``radii`` are
@@ -342,8 +398,7 @@ def _knn(queries: np.ndarray, targets: PointSet, k: int, floor: Optional[float] 
     disc that holds its radius, so every pair within it lies in the
     scanned block or in that disc. Without a floor both are None.
     """
-    if k < 1:
-        raise ValueError("invalid k")
+    _validate_k(k)
     m = len(targets)
     if m == 0:
         raise ValueError("no ground truth: target set is empty")
@@ -353,13 +408,24 @@ def _knn(queries: np.ndarray, targets: PointSet, k: int, floor: Optional[float] 
     parts = []
     if m < GRID_BACKEND_THRESHOLD:
         step = max(1, _SCAN_BLOCK_CELLS // m)   # query rows per block
+        tx, ty = targets.coords[:, 0], targets.coords[:, 1]
         for s in range(0, len(queries), step):
-            d = _distances(queries[s:s + step, None, :], targets.coords[None, :, :])
-            out[s:s + len(d)] = nearest = np.sort(np.partition(d, kk - 1, axis=1)[:, :kk], axis=1)
+            # Exact distances only for the pairs whose squares can reach
+            # the k-th nearest or the floor: the rest stay inf.
+            block = queries[s:s + step]
+            with np.errstate(over="ignore"):
+                dx = block[:, :1] - tx
+                dy = block[:, 1:] - ty
+                sq = dx * dx + dy * dy
+            cap = np.sqrt(np.sort(sq, axis=1)[:, kk - 1])
+            if floor is not None:
+                cap = np.maximum(cap, floor)
+            d = _hypot(dx, dy, where=sq <= _square_bound(cap)[:, None])
+            out[s:s + len(d)] = nearest = np.sort(d, axis=1)[:, :kk]
             if floor is not None:
                 radii[s:s + len(d)] = reach = _radius(nearest, floor)
-                qi, ti = np.nonzero(d <= reach[:, None])
-                parts.append((qi + s, ti, d[qi, ti]))
+                at = np.flatnonzero(d <= reach[:, None])
+                parts.append((at // m + s, at % m, d.take(at)))
     else:
         grid = _UniformGrid(targets.coords)
         # A start or doubled radius beyond the float range is inf: that

@@ -52,6 +52,7 @@ from .geometry import (
     PointSet,
     RadiusProfile,
     _knn,
+    _validate_k,
     all_radii,
     pairs_within,
     pairwise_distances,
@@ -83,8 +84,7 @@ class MatchConfig:
     radius_floor: float = DEFAULT_RADIUS_FLOOR
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("invalid k")
+        _validate_k(self.k)
         if not (self.sigma_value > 0 and math.isfinite(self.sigma_value)):
             raise ValueError("invalid sigma")
         if not (self.radius_floor > 0 and math.isfinite(self.radius_floor)):

@@ -88,6 +88,20 @@ class TestKnnDistances:
         with pytest.raises(ValueError, match="invalid k"):
             knn_distances(Point(0, 0), PointSet([(1, 1)]), k=0)
 
+    @pytest.mark.parametrize("k", [0, -3, 2.5, 3.0, np.float64(2.0), True, "5", None])
+    def test_k_is_a_positive_integer(self, k):
+        gt = PointSet([(1.0, 1.0), (2.0, 3.0)])
+        calls = [lambda: knn_distances((0.0, 0.0), gt, k), lambda: all_radii(gt, gt, k),
+                 lambda: _knn(gt.coords, gt, k, 1e-3), lambda: RadiusProfile(np.ones(1), k)]
+        for call in calls:
+            with pytest.raises(ValueError, match="^invalid k$"):
+                call()
+
+    @pytest.mark.parametrize("k", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_numpy_integer_k(self, k):
+        gt = PointSet([(1.0, 1.0), (2.0, 3.0), (0.0, 4.0)])
+        assert all_radii(gt, gt, k).radii.tobytes() == all_radii(gt, gt, 2).radii.tobytes()
+
     @pytest.mark.parametrize("query", [(float("nan"), 0.0), (0.0, float("inf"))])
     def test_non_finite_query(self, query):
         with pytest.raises(ValueError, match="non-finite"):
@@ -206,13 +220,7 @@ class TestGridEqualsFullScan:
     def assert_grid_equals_full_scan(queries, targets, radii, k):
         full = pairwise_distances(queries, targets)
         nearest = np.sort(full, axis=1)[:, :min(k, len(targets))]
-
-        qi, ti, d = pairs_within(queries, targets, radii)
-        want_i, want_j = np.nonzero(full <= radii[:, None])
-        np.testing.assert_array_equal(qi, want_i)
-        np.testing.assert_array_equal(ti, want_j)
-        assert d.tobytes() == full[want_i, want_j].tobytes()
-
+        assert_pairs_within_equals_dense(queries, targets, radii)
         got = all_radii(queries, targets, k=k, floor=1e-3).radii
         assert got.tobytes() == np.maximum(nearest.mean(axis=1), 1e-3).tobytes()
         for i in (0, len(queries) - 1):
@@ -317,12 +325,27 @@ def synth_pair(profile, n, seed):
     return pred, gt
 
 
+def assert_pairs_within_equals_dense(queries, targets, radii):
+    """``pairs_within`` against the dense distance matrix's mask."""
+    full = pairwise_distances(queries, targets)
+    qi, ti, d = pairs_within(queries, targets, radii)
+    want_i, want_j = np.nonzero(full <= radii[:, None])
+    np.testing.assert_array_equal(qi, want_i)
+    np.testing.assert_array_equal(ti, want_j)
+    assert d.tobytes() == full[want_i, want_j].tobytes()
+
+
 def assert_knn_equals_dense(queries, targets, k, floor):
-    """``_knn`` with a floor against a sort of the dense distance matrix."""
+    """``_knn`` against a sort of the dense distance matrix; given a
+    floor, its radii and edges too."""
     full = pairwise_distances(PointSet.from_coords(queries), targets)
     want = np.sort(full, axis=1)[:, :min(k, len(targets))]
-    nearest, radii, (qi, ti, d) = _knn(queries, targets, k, floor)
+    nearest, radii, edges = _knn(queries, targets, k, floor)
     assert nearest.tobytes() == want.tobytes()
+    if floor is None:
+        assert radii is None and edges is None
+        return
+    qi, ti, d = edges
     assert radii.tobytes() == np.maximum(want.mean(axis=1), floor).tobytes()
     want_i, want_j = np.nonzero(full <= radii[:, None])
     np.testing.assert_array_equal(qi, want_i)
@@ -337,19 +360,20 @@ class TestDensityAdaptivePass:
     @pytest.mark.parametrize("profile", ["uniform", "gradient", "two_cluster"])
     def test_about_k_distances_per_query(self, profile, monkeypatch):
         # A start disc of the bounding-box distance plus two cells computed
-        # about 20 k distances per query on the two-cluster scene.
+        # about 20 k distances per query on the two-cluster scene. Exact
+        # distances are counted, those of the pairs inside the discs.
         pred, gt = synth_pair(profile, 2000, 5)
         assert len(gt) >= GRID_BACKEND_THRESHOLD
         computed = []
-        real = geometry._distances
+        real = geometry._hypot
 
-        def counted(a, b):
-            d = real(a, b)
-            computed.append(d.size)
+        def counted(dx, dy, where=True):
+            d = real(dx, dy, where)
+            computed.append(np.count_nonzero(np.broadcast_to(where, d.shape)))
             return d
 
         k = 5
-        monkeypatch.setattr(geometry, "_distances", counted)
+        monkeypatch.setattr(geometry, "_hypot", counted)
         nearest = _knn(pred.coords, gt, k, DEFAULT_RADIUS_FLOOR)[0]
         assert sum(computed) <= 10 * k * len(pred)
         monkeypatch.undo()
@@ -466,6 +490,142 @@ class TestPairsWithin:
         chunks = list(grid.within(queries, radii))
         assert [(c.start, c.stop) for c, *_ in chunks] == [(0, 4)]
         assert all(a.size == 0 for _, *edges in chunks for a in edges)
+
+
+#: Powers of two that carry the layouts below from squares that round
+#: to 0 (2^-540: 1e-325), through subnormal squares of a few units and of
+#: a few dozen bits (2^-536, 2^-520), to ordinary ones and to squares at
+#: the top of the float range (2^510: 4e307; 2^512: about half of them
+#: overflow). Elsewhere, scaling by a power of two moves no rounding.
+_SCALES = [2.0 ** -540, 2.0 ** -536, 2.0 ** -520, 1.0, 2.0 ** 510, 2.0 ** 512]
+
+#: A stack of _STACK_K coincident targets at this distance has a mean
+#: distance five ulps above it.
+_STACK_X, _STACK_K = 1.9598272398828156, 100
+
+
+def near_ties(m):
+    """Layouts of m targets whose squares do not order them as their
+    distances do: ``(queries, targets, k)``.
+
+    - *ring*: targets in random directions at distance about 1 from the
+      origin, whose distances tie or differ by an ulp;
+    - *stack*: _STACK_K coincident targets whose mean distance rounds
+      up past them, one target at that mean, the rest farther away;
+    - *subnormal*: at scale 2^-536, the squares of the first target
+      round to 0 and those of the next two up to 1 unit each, though the
+      second is the nearest (the case of
+      :meth:`TestSquaredCandidates.test_underflowed_squares_keep_the_nearest`).
+    """
+    rng = np.random.default_rng(90 + m)
+    angle = rng.uniform(0, 2 * np.pi, m)
+    ring = np.c_[np.cos(angle), np.sin(angle)]
+    ring_queries = np.array([(0.0, 0.0), (2.0 ** -10, -2.0 ** -11), tuple(ring[0])])
+    mean = np.full(_STACK_K, _STACK_X).mean()
+    assert mean > _STACK_X
+    stack = np.vstack([np.full((_STACK_K, 2), (_STACK_X, 0.0)), [(mean, 0.0)],
+                       ring[:m - _STACK_K - 1] * 3])
+    subnormal = np.vstack([[(0.34, 0.34), (0.36, 0.0), (0.36, 0.36)], ring[3:] * 3])
+    origin = np.zeros((1, 2))
+    return [(ring_queries, ring, 1), (ring_queries, ring, 7), (origin, stack, _STACK_K),
+            (origin, subnormal, 1), (origin, subnormal, 2)]
+
+
+@st.composite
+def scaled_clouds(draw):
+    """Small clouds with duplicated and near-tied points, scaled by a
+    power of two from 2^-545 (squares underflow) to 2^515 (squares
+    overflow), and a floor: none, the smallest float, or a distance of
+    the cloud."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.one_of(st.integers(1, 40),
+                       st.integers(GRID_BACKEND_THRESHOLD, GRID_BACKEND_THRESHOLD + 40)))
+    layout = draw(st.sampled_from(["ring", "lattice", "uniform"]))
+    if layout == "ring":
+        angle = rng.uniform(0, 2 * np.pi, m)
+        targets = np.c_[np.cos(angle), np.sin(angle)] * rng.choice([1.0, 3.0], (m, 1))
+    elif layout == "lattice":   # half-integers: exact ties
+        targets = rng.integers(-8, 9, (m, 2)) / 2
+    else:
+        targets = rng.uniform(-8, 8, (m, 2))
+    targets[rng.random(m) < 0.3] = targets[rng.integers(m)]
+    nudged = rng.random((m, 2)) < 0.3
+    targets[nudged] = np.nextafter(targets[nudged], rng.choice([-np.inf, np.inf], nudged.sum()))
+    queries = np.vstack([[(0.0, 0.0)], targets[rng.integers(0, m, 2)],
+                         rng.uniform(-9, 9, (draw(st.integers(0, 6)), 2))])
+    # Most draws go to the two ends, where squares underflow or overflow.
+    scale = 2.0 ** draw(st.one_of(st.integers(-545, -505), st.integers(-60, 60),
+                                  st.integers(480, 515)))
+    queries, targets = queries * scale, targets * scale
+    full = pairwise_distances(PointSet.from_coords(queries), PointSet.from_coords(targets))
+    floor = draw(st.sampled_from([None, "smallest", "pair"]))
+    if floor == "smallest":
+        floor = 5e-324
+    elif floor == "pair":
+        floor = max(float(full[0, rng.integers(m)]), 5e-324)
+    k = draw(st.one_of(st.integers(1, 8), st.just(m), st.just(m + 3)))
+    return queries, targets, full, k, floor
+
+
+class TestSquaredCandidates:
+    """Both queries pick candidates on squared distances within
+    ``geometry._square_bound`` and compute ``hypot`` only for them. Each
+    layout here is checked at every scale in _SCALES against the dense
+    distance matrix, bit for bit: near ties catch a bound without its
+    relative margin, underflowed squares one without its absolute term."""
+
+    def test_underflowed_squares_keep_the_nearest(self):
+        # Both squares of the first target round to 0, the one of the
+        # second to the smallest subnormal, yet the second is nearer.
+        query = np.zeros((1, 2))
+        pinned = np.array([(1.5e-162, 1.5e-162), (1.6e-162, 0.0)])
+        far = np.c_[np.linspace(1e-161, 2e-161, GRID_BACKEND_THRESHOLD), np.full(GRID_BACKEND_THRESHOLD, 1e-161)]
+        for targets in (pinned, np.vstack([pinned, far])):
+            targets = PointSet.from_coords(targets)
+            for floor in (None, 5e-324):
+                assert _knn(query, targets, 1, floor)[0].tolist() == [[1.6e-162]]
+                assert_knn_equals_dense(query, targets, 1, floor)
+
+    def test_knn_scan(self):
+        for scale in _SCALES:
+            for queries, targets, k in near_ties(GRID_BACKEND_THRESHOLD - 1):
+                for floor in (None, 5e-324):
+                    assert_knn_equals_dense(queries * scale,
+                                            PointSet.from_coords(targets * scale), k, floor)
+
+    def test_knn_grid(self):
+        # A floor equal to a pair's distance starts the grid's disc there.
+        for scale in _SCALES:
+            for queries, targets, k in near_ties(GRID_BACKEND_THRESHOLD + 44):
+                queries, targets = queries * scale, PointSet.from_coords(targets * scale)
+                full = pairwise_distances(PointSet.from_coords(queries), targets)
+                for floor in (None, 5e-324, *np.unique(full[0])[:12]):
+                    assert_knn_equals_dense(queries, targets, k, floor)
+
+    def test_pairs_within(self):
+        # Each query asks once per target, with that target's distance
+        # as its radius, so every pair lies on a disc's edge.
+        for scale in _SCALES:
+            for queries, targets, _ in near_ties(GRID_BACKEND_THRESHOLD + 44):
+                queries = np.repeat(queries * scale, len(targets), axis=0)
+                queries, targets = PointSet.from_coords(queries), PointSet.from_coords(targets * scale)
+                full = pairwise_distances(queries, targets)
+                radii = full[np.arange(len(queries)), np.arange(len(queries)) % len(targets)]
+                assert_pairs_within_equals_dense(queries, targets, radii)
+
+    @given(scaled_clouds())
+    @settings(deadline=None)
+    def test_scaled_clouds_equal_dense(self, case):
+        # Run with --hypothesis-profile=ci for the CI example count.
+        queries, targets, full, k, floor = case
+        targets = PointSet.from_coords(targets)
+        assert_knn_equals_dense(queries, targets, k, floor)
+        # Each query's radius is its distance to one target, and the first
+        # query asks again once per target: those pairs lie on the edge.
+        n, m = full.shape
+        radii = np.concatenate([full[np.arange(n), np.arange(n) % m], full[0]])
+        queries = np.vstack([queries, np.repeat(queries[:1], m, axis=0)])
+        assert_pairs_within_equals_dense(PointSet.from_coords(queries), targets, radii)
 
 
 class TestAdaptiveRadius:

@@ -347,6 +347,10 @@ class TestMatchConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="invalid k"):
             MatchConfig(k=0)
+        # geometry's one integer rule for k: no bool, no float.
+        for k in (True, 5.0):
+            with pytest.raises(ValueError, match="invalid k"):
+                MatchConfig(k=k)
         with pytest.raises(ValueError, match="invalid sigma"):
             MatchConfig(sigma_value=-1.0)
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from countmatch.densitymap import DensityMap, extract_peaks, render_density
 from countmatch.dynconv import FeatureMap, ParamField
 from countmatch.geometry import PointSet, RadiusProfile
 from countmatch.kernels import KernelParams
-from countmatch.matching import gaussian_weight, match_with_radii
+from countmatch.matching import MatchConfig, gaussian_weight, match_with_radii
 from countmatch.metrics import evaluate_case
 from countmatch.synth import sample_separated
 
@@ -39,6 +39,7 @@ _REJECTIONS = {
                           "kernel parameters must be finite"),
     "weight-inf-distance": (lambda _: gaussian_weight(math.inf, 1.0), ValueError,
                             "distance must be finite"),
+    "match-config-float-k": (lambda _: MatchConfig(k=2.5), ValueError, "invalid k"),
     "radii-misaligned": (lambda _: match_with_radii(_ONE, _ONE, RadiusProfile(np.ones(2), 1)),
                          ValueError, "radius profile length 2 does not match predictions 1"),
     "tolerance-zero": (lambda _: evaluate_case("a", _ONE, _ONE, 0.0), ValueError,
