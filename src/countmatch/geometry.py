@@ -17,14 +17,14 @@ the grid returns the same distances as a full scan, it only prunes the
 candidate set.
 
 Both queries pick their candidates on squared distances, ``dx * dx +
-dy * dy``, against one bound on the square of the radius that decides
-the result (:func:`_square_bound`), and compute the exact distance,
-``hypot``, only for the survivors. The bound has a relative margin for
-the rounding of squares, square roots and means, and an absolute term
-for squares that underflow, below about 1e-162; where the radius's
-square overflows, from about 1.3e154, it is inf and keeps every pair.
-So every distance, radius and edge is the one a ``hypot`` of every pair
-would give.
+dy * dy`` (:func:`_squares`), against one bound on the square of the
+radius that decides the result (:func:`_square_bound`), and compute the
+exact distance, ``hypot`` (:func:`_hypot`), only for the survivors. The
+bound has a relative margin for the rounding of squares, square roots
+and means, and an absolute term for squares that underflow, below about
+1e-162; where the radius's square overflows, from about 1.3e154, it is
+inf and keeps every pair. So every distance, radius and edge is the one
+a ``hypot`` of every pair would give.
 
 The adaptive radius of a query point is the mean of its distances to the
 k nearest target points, clamped below by a configurable floor. It
@@ -279,7 +279,7 @@ class _UniformGrid:
             with np.errstate(over="ignore"):
                 dx = self.coords[:, 0].take(ti) - queries[:, 0].take(qi)
                 dy = self.coords[:, 1].take(ti) - queries[:, 1].take(qi)
-                near = np.flatnonzero(dx * dx + dy * dy <= bound.take(qi))
+                near = np.flatnonzero(_squares(dx, dy) <= bound.take(qi))
             qi, ti = qi.take(near), ti.take(near)
             d = _hypot(dx.take(near), dy.take(near))
             keep = d <= radii.take(qi)
@@ -295,29 +295,40 @@ def _ranges(first: np.ndarray, length: np.ndarray) -> np.ndarray:
 
 
 def _distances(a, b) -> np.ndarray:
-    """Euclidean distances between broadcast (..., 2) coordinate arrays.
+    """Euclidean distances between broadcast (..., 2) coordinate arrays:
+    the dense rule, :func:`_hypot` of the coordinate differences.
 
     A distance beyond the float range is inf, without a warning: the
-    farthest possible, outside any finite disc. The queries compute it
-    only for candidates whose squared distance is within
-    :func:`_square_bound` of the radius that decides their result, so
-    every exact distance is :func:`_hypot` of the same differences.
+    farthest possible, outside any finite disc. The queries call
+    :func:`_hypot` themselves, on the differences of the candidates that
+    survive :func:`_square_bound`, so their distances are this one.
     """
     with np.errstate(over="ignore"):
         diff = np.subtract(a, b)
     return _hypot(diff[..., 0], diff[..., 1])
 
 
-def _hypot(dx, dy, where=True) -> np.ndarray:
-    """The exact distance of the differences ``(dx, dy)``, inf where
-    ``where`` is False (those entries cost no ``hypot``)."""
+def _hypot(dx, dy, where=None) -> np.ndarray:
+    """The exact distance of the differences ``(dx, dy)``. Given a mask
+    ``where``, only its True entries cost a ``hypot``; the rest are inf."""
     with np.errstate(over="ignore"):
+        if where is None:
+            return np.hypot(dx, dy)
         return np.hypot(dx, dy, out=np.full(np.shape(dx), np.inf), where=where)
 
 
+def _squares(dx, dy) -> np.ndarray:
+    """The squared distances ``dx * dx + dy * dy`` of the differences
+    ``(dx, dy)`` that the queries filter on :func:`_square_bound`; inf
+    where they overflow. Called where the differences are taken, under
+    the same ``np.errstate(over="ignore")``."""
+    return dx * dx + dy * dy
+
+
 def _square_bound(r):
-    """A bound on ``dx * dx + dy * dy`` for every pair whose
-    :func:`_hypot` is at most ``r``.
+    """A bound on :func:`_squares` for every pair whose :func:`_hypot`
+    is at most ``r``: the queries keep as candidates the pairs whose
+    squares are within it, and compute exact distances only for those.
 
     ``hypot`` is within an ulp of the true distance and the sum of two
     rounded squares within a few ulps of its square, so a relative margin
@@ -416,7 +427,7 @@ def _knn(queries: np.ndarray, targets: PointSet, k: int, floor: Optional[float] 
             with np.errstate(over="ignore"):
                 dx = block[:, :1] - tx
                 dy = block[:, 1:] - ty
-                sq = dx * dx + dy * dy
+                sq = _squares(dx, dy)
             cap = np.sqrt(np.sort(sq, axis=1)[:, kk - 1])
             if floor is not None:
                 cap = np.maximum(cap, floor)

@@ -359,21 +359,20 @@ class TestDensityAdaptivePass:
 
     @pytest.mark.parametrize("profile", ["uniform", "gradient", "two_cluster"])
     def test_about_k_distances_per_query(self, profile, monkeypatch):
-        # A start disc of the bounding-box distance plus two cells computed
-        # about 20 k distances per query on the two-cluster scene. Exact
-        # distances are counted, those of the pairs inside the discs.
+        # A start disc of the bounding-box distance plus two cells gathered
+        # about 20 k candidates per query on the two-cluster scene. Every
+        # gathered pair is counted: the grid squares each one.
         pred, gt = synth_pair(profile, 2000, 5)
         assert len(gt) >= GRID_BACKEND_THRESHOLD
         computed = []
-        real = geometry._hypot
+        real = geometry._squares
 
-        def counted(dx, dy, where=True):
-            d = real(dx, dy, where)
-            computed.append(np.count_nonzero(np.broadcast_to(where, d.shape)))
-            return d
+        def counted(dx, dy):
+            computed.append(np.size(dx))
+            return real(dx, dy)
 
         k = 5
-        monkeypatch.setattr(geometry, "_hypot", counted)
+        monkeypatch.setattr(geometry, "_squares", counted)
         nearest = _knn(pred.coords, gt, k, DEFAULT_RADIUS_FLOOR)[0]
         assert sum(computed) <= 10 * k * len(pred)
         monkeypatch.undo()
