@@ -10,7 +10,7 @@ range. Leading zeros are allowed and add nothing, at any length.
 Serialization of non-integer coordinates rounds half away from zero with
 a warning, so integer round-trips are byte-identical.
 
-Subcommands: match, eval, kernel, gradcheck, synth, bench. Exit codes:
+Subcommands: match, eval, kernel, gradcheck, synth. Exit codes:
 0 success, 1 usage error, 2 data error. No environment variables are
 consulted. Identical inputs and flags produce byte-identical output
 files.
@@ -22,7 +22,6 @@ import argparse
 import math
 import os
 import sys
-import time
 import warnings
 from dataclasses import replace
 from functools import cache, partial
@@ -32,7 +31,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import densitymap, metrics, synth
-from .dynconv import FeatureMap, ParamField, dynamic_gaussian_conv, multiscale_forward
 from .geometry import PointLabel, PointSet
 from .kernels import KernelParams, kernel_gradients, synthesize_kernel
 from .matching import MatchConfig, SigmaMode, match_points
@@ -232,9 +230,6 @@ def build_parser() -> _Parser:
     p.add_argument("--density-out",
                    help="render a density map here (.csv for text, else binary)")
     p.add_argument("--render-sigma", type=float, default=2.0)
-
-    p = sub.add_parser("bench", help="wall-clock timings for standard presets")
-    p.add_argument("preset", choices=["match-small", "match-large", "conv"])
 
     return parser
 
@@ -450,46 +445,6 @@ def cmd_synth(args) -> int:
         print(f"wrote {len(points)} {what} to {path}")
     if args.density_out:
         print(f"wrote density map to {args.density_out}")
-    return EXIT_OK
-
-
-def _bench_match(n: int, side: float, seed: int) -> None:
-    cfg = synth.SceneConfig(width=int(side), height=int(side), n_points=n,
-                            profile=synth.DensityProfile.UNIFORM, seed=seed)
-    gt = synth.sample_points(cfg)
-    pred = synth.perturb_points(gt, drop_rate=0.05, spurious_rate=0.05,
-                                noise_sigma=1.0, seed=seed + 1, bounds=(side, side))
-    t0 = time.perf_counter()
-    result = match_points(pred, gt)
-    elapsed = time.perf_counter() - t0
-    print(f"n_pred: {len(pred)}")
-    print(f"n_gt: {len(gt)}")
-    print(f"pairs: {len(result.pairs)}")
-    print(f"elapsed_s: {elapsed:.3f}")
-
-
-def cmd_bench(args) -> int:
-    print(f"preset: {args.preset}")
-    if args.preset == "match-small":
-        _bench_match(200, 512.0, seed=7)
-    elif args.preset == "match-large":
-        _bench_match(2000, 2048.0, seed=7)
-    else:
-        rng = np.random.default_rng(7)
-        feature = FeatureMap(rng.normal(size=(8, 64, 64)))
-        field = ParamField(rng.normal(size=(3, 64, 64)) * 0.5, sx=1.0, sy=1.0)
-        scales = (3, 5, 7, 9)
-        total = 0.0
-        for s in scales:
-            t0 = time.perf_counter()
-            dynamic_gaussian_conv(feature, field, s)
-            dt = time.perf_counter() - t0
-            total += dt
-            print(f"scale_{s}_s: {dt:.3f}")
-        t0 = time.perf_counter()
-        multiscale_forward(feature, field, scales)
-        print(f"multiscale_s: {time.perf_counter() - t0:.3f}")
-        print(f"per_scale_total_s: {total:.3f}")
     return EXIT_OK
 
 

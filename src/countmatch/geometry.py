@@ -11,8 +11,8 @@ queries whose radius doubles until each holds k targets. Each disc
 starts at the size that the occupancy of the grid cells around its
 query predicts will hold about twice k targets, so a k-NN query
 computes a small multiple of k distances whether the targets there are
-sparse or packed, and each row's k smallest are selected with a
-partition, not a sort of every candidate. Every query here is exact:
+sparse or packed. Both backends select each row's k smallest by one
+rule: the row is sorted whole. Every query here is exact:
 the grid returns the same distances as a full scan, it only prunes the
 candidate set.
 
@@ -391,15 +391,16 @@ def _knn(queries: np.ndarray, targets: PointSet, k: int, floor: Optional[float] 
     Below ``GRID_BACKEND_THRESHOLD`` targets the queries are scanned
     against every target in bounded blocks. A row's distances are exact
     within :func:`_square_bound` of the larger of the floor and the root
-    of its k-th smallest square, and inf beyond; the row is then sorted
-    whole, as numpy sorts rows this short faster than it partitions
-    them. At or above it each query asks the grid for a disc that starts
-    at the distance to the cloud's bounding box plus
+    of its k-th smallest square, and inf beyond. At or above it each
+    query asks the grid for a disc that starts at the distance to the
+    cloud's bounding box plus
     :meth:`_UniformGrid.start_radii`, a radius read from the occupancy
     of the cells around the query, or at the floor if that is larger,
     and doubles until it holds k targets; a disc holding k targets
-    contains the k nearest, so the result is exact. Each row's k
-    smallest are selected by :func:`_row_smallest`. Memory is
+    contains the k nearest, so the result is exact; :func:`_row_smallest`
+    lays each disc's candidates out in rows. Either way a row's k
+    smallest are the first k of the row sorted whole, as numpy sorts
+    rows this short faster than it partitions them. Memory is
     O(len(queries) * k + block + edges).
 
     Returns ``(nearest, radii, edges)``. Given a ``floor``, ``radii`` are
@@ -491,9 +492,9 @@ def _row_smallest(d: np.ndarray, counts: np.ndarray, kk: int) -> np.ndarray:
 
     ``d`` holds the rows one after another, ``counts[i]`` values for
     row i. Rows are scattered into inf-padded (rows, longest row) blocks
-    of at most ``_SCAN_BLOCK_CELLS`` cells, each partitioned then sorted
-    on its first ``kk`` columns; a row longer than that is a block of
-    its own.
+    of at most ``_SCAN_BLOCK_CELLS`` cells, each sorted whole along its
+    rows, the rule of the full scan; a row longer than that is a block
+    of its own.
     """
     out = np.empty((len(counts), kk), dtype=np.float64)
     ends = np.cumsum(counts)
@@ -506,8 +507,7 @@ def _row_smallest(d: np.ndarray, counts: np.ndarray, kk: int) -> np.ndarray:
         width = max(int(widest[e - s - 1]), kk)
         block = np.full((e - s) * width, np.inf)
         block[_ranges(np.arange(e - s) * width, counts[s:e])] = d[ends[s] - counts[s]:ends[e - 1]]
-        block = np.partition(block.reshape(e - s, width), kk - 1, axis=1)
-        out[s:e] = np.sort(block[:, :kk], axis=1)
+        out[s:e] = np.sort(block.reshape(e - s, width), axis=1)[:, :kk]
         s = e
     return out
 
