@@ -32,7 +32,14 @@ import numpy as np
 
 from . import densitymap, metrics, synth
 from .geometry import PointLabel, PointSet
-from .kernels import KernelParams, kernel_gradients, synthesize_kernel
+from .kernels import (
+    OFFSET_LIMIT,
+    SIGMA_MAX,
+    SIGMA_MIN,
+    KernelParams,
+    kernel_gradients,
+    synthesize_kernel,
+)
 from .matching import MatchConfig, SigmaMode, match_points
 
 EXIT_OK = 0
@@ -171,7 +178,9 @@ def _add_match_flags(parser) -> None:
                         help="lower bound on adaptive radii, px")
 
 
+@cache
 def build_parser() -> _Parser:
+    """The parser, built once per process: building costs far more than a parse."""
     parser = _Parser(prog="countmatch",
                      description="Density-adaptive point matching and counting toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -365,18 +374,24 @@ def run_gradcheck(trials: int, size: int, epsilon: float, seed: int = 0):
     Returns (max_rel_err, description). Relative error is taken per grid
     entry against max(|analytic|, |numeric|, 1e-12) and only entries with
     |K| > 1e-12 are scored. A NaN error is the worst: it is returned, at
-    the first place it occurs. ``epsilon`` must be positive and finite.
+    the first place it occurs. ``epsilon`` must be positive and below the
+    margin that keeps each sigma and offset draw inside its range, so the
+    central differences stay in range too.
     """
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    margin = 0.2
+    if epsilon >= margin:
+        raise ValueError(f"epsilon must be below {margin}, the margin of the parameter "
+                         f"draws inside their ranges, got {epsilon}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_desc = "no trials"
     for trial in range(trials):
         params = KernelParams(
-            sigma=float(rng.uniform(1.2, 9.8)),
-            dx=float(rng.uniform(-1.8, 1.8)),
-            dy=float(rng.uniform(-1.8, 1.8)),
+            sigma=float(rng.uniform(SIGMA_MIN + margin, SIGMA_MAX - margin)),
+            dx=float(rng.uniform(margin - OFFSET_LIMIT, OFFSET_LIMIT - margin)),
+            dy=float(rng.uniform(margin - OFFSET_LIMIT, OFFSET_LIMIT - margin)),
             sx=float(np.exp(rng.uniform(-0.7, 0.7))),
             sy=float(np.exp(rng.uniform(-0.7, 0.7))),
         )
@@ -448,15 +463,9 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-@cache
-def _parser() -> _Parser:
-    """The parser, built once per process: building costs far more than a parse."""
-    return build_parser()
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # Looked up at call time, so a wrapper later set on cli.cmd_<command> runs.

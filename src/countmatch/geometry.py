@@ -152,8 +152,7 @@ class RadiusProfile:
         radii.setflags(write=False)
         object.__setattr__(self, "radii", radii)
         _validate_k(self.k)
-        if not np.all(np.isfinite(radii)) or np.any(radii < 0):
-            raise ValueError("radii must be finite and non-negative")
+        _validate_radii(radii)
 
     def __len__(self) -> int:
         return self.radii.shape[0]
@@ -164,6 +163,18 @@ def _validate_k(k) -> None:
     not a ``bool``."""
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
         raise ValueError("invalid k")
+
+
+def _validate_floor(floor) -> None:
+    """The radius-floor rule: the floor is positive and finite."""
+    if not (floor > 0 and math.isfinite(floor)):
+        raise ValueError("radius floor must be positive and finite")
+
+
+def _validate_radii(radii: np.ndarray) -> None:
+    """The radii rule: every radius is finite and non-negative."""
+    if not np.all(np.isfinite(radii)) or np.any(radii < 0):
+        raise ValueError("radii must be finite and non-negative")
 
 
 class _UniformGrid:
@@ -520,8 +531,7 @@ def all_radii(pred: PointSet, gt: PointSet, k: int = DEFAULT_K,
     ``GRID_BACKEND_THRESHOLD`` targets, uniform grid at or above it).
     Memory is O(len(pred) * k + block), never O(len(pred) * len(gt)).
     """
-    if not (floor > 0 and math.isfinite(floor)):
-        raise ValueError("radius floor must be positive and finite")
+    _validate_floor(floor)
     return RadiusProfile(_radius(_knn(pred.coords, gt, k)[0], floor), k)
 
 
@@ -572,7 +582,6 @@ def pairs_within(queries: PointSet, targets: PointSet,
     n, m = len(queries), len(targets)
     if radii.shape != (n,):
         raise ValueError(f"radius count {radii.shape} does not match queries {n}")
-    if not np.all(np.isfinite(radii)) or np.any(radii < 0):
-        raise ValueError("radii must be finite and non-negative")
+    _validate_radii(radii)
     grid = _UniformGrid(targets.coords)
     return _edge_list([(qi, ti, d) for _, qi, ti, d in grid.within(queries.coords, radii)], m)

@@ -52,6 +52,7 @@ from .geometry import (
     PointSet,
     RadiusProfile,
     _knn,
+    _validate_floor,
     _validate_k,
     all_radii,
     pairs_within,
@@ -87,8 +88,7 @@ class MatchConfig:
         _validate_k(self.k)
         if not (self.sigma_value > 0 and math.isfinite(self.sigma_value)):
             raise ValueError("invalid sigma")
-        if not (self.radius_floor > 0 and math.isfinite(self.radius_floor)):
-            raise ValueError("radius floor must be positive and finite")
+        _validate_floor(self.radius_floor)
 
 
 @dataclass(frozen=True)
@@ -155,11 +155,8 @@ def build_weight_matrix(pred: PointSet, gt: PointSet, radii: RadiusProfile,
 
     ``radii`` must be aligned with ``pred`` (one radius per prediction).
     """
-    if len(radii) != len(pred):
-        raise ValueError(
-            f"radius profile length {len(radii)} does not match predictions {len(pred)}")
+    rad = _aligned(radii, pred)[:, None]
     d = pairwise_distances(pred, gt)
-    rad = radii.radii[:, None]
     values = _gaussian(d, rad, cfg)
     in_radius = (d <= rad) & (values > 0.0)
     values = np.where(in_radius, values, 0.0)
@@ -202,10 +199,16 @@ def match_with_radii(pred: PointSet, gt: PointSet, radii: RadiusProfile,
     The in-radius edges are found by :func:`geometry.pairs_within` and
     solved by shortest augmenting paths over the edge list.
     """
-    n, m = len(pred), len(gt)
-    if len(radii) != n:
-        raise ValueError(f"radius profile length {len(radii)} does not match predictions {n}")
-    return _solve_edges(*pairs_within(pred, gt, radii.radii), radii.radii, cfg, n, m)
+    rad = _aligned(radii, pred)
+    return _solve_edges(*pairs_within(pred, gt, rad), rad, cfg, len(pred), len(gt))
+
+
+def _aligned(radii: RadiusProfile, pred: PointSet) -> np.ndarray:
+    """The radii of ``radii``, checked to hold one per prediction of ``pred``."""
+    if len(radii) != len(pred):
+        raise ValueError(
+            f"radius profile length {len(radii)} does not match predictions {len(pred)}")
+    return radii.radii
 
 
 def _solve_edges(pi: np.ndarray, gj: np.ndarray, d: np.ndarray, radii: np.ndarray,

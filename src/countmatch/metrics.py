@@ -74,10 +74,15 @@ def localization_prf(match: MatchResult, tolerance: float) -> tuple[float, float
     except that an entirely empty instance (no predictions, no ground
     truth) scores a perfect (1, 1, 1). F1 is 0 whenever P + R is 0.
     """
+    return _prf(_true_positives(match, tolerance), match.n_pred, match.n_gt)
+
+
+def _true_positives(match: MatchResult, tolerance: float) -> int:
+    """Matched pairs of ``match`` at distance <= ``tolerance``, which must
+    be positive."""
     if not (tolerance > 0):
         raise ValueError("tolerance must be positive")
-    tp = sum(1 for p in match.pairs if p.distance <= tolerance)
-    return _prf(tp, match.n_pred, match.n_gt)
+    return sum(1 for p in match.pairs if p.distance <= tolerance)
 
 
 def _prf(tp: int, n_pred: int, n_gt: int) -> tuple[float, float, float]:
@@ -92,12 +97,9 @@ def _prf(tp: int, n_pred: int, n_gt: int) -> tuple[float, float, float]:
 def evaluate_case(image_id: str, pred: PointSet, gt: PointSet, tolerance: float,
                   cfg: Optional[MatchConfig] = None) -> ImageEval:
     """Match one image and tally its counts and true positives."""
-    if not (tolerance > 0):
-        raise ValueError("tolerance must be positive")
     result = match_points(pred, gt, cfg or MatchConfig())
-    tp = sum(1 for p in result.pairs if p.distance <= tolerance)
     return ImageEval(image_id=image_id, predicted=len(pred), ground_truth=len(gt),
-                     true_positives=tp)
+                     true_positives=_true_positives(result, tolerance))
 
 
 def aggregate_report(per_image: Sequence[ImageEval]) -> CountReport:

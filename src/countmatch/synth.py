@@ -224,7 +224,8 @@ def perturb_points(points: PointSet, drop_rate: float, spurious_rate: float = 0.
     deviation ``noise_sigma``, and Poisson(spurious_rate * n) spurious
     points are appended, drawn uniformly over ``bounds`` (width, height)
     or, if bounds are omitted, over the input's bounding box. With
-    explicit bounds the survivors are also clamped inside them.
+    explicit bounds, which must be a valid :class:`SceneConfig` size, the
+    survivors are also clamped inside them.
 
     Survivors keep their input order (so index i of the output maps to
     the i-th surviving source point), spurious points follow.
@@ -234,9 +235,10 @@ def perturb_points(points: PointSet, drop_rate: float, spurious_rate: float = 0.
     for name, value in (("spurious_rate", spurious_rate), ("noise_sigma", noise_sigma)):
         if not (value >= 0 and math.isfinite(value)):
             raise ValueError(f"{name} must be non-negative and finite, got {value}")
-    rng = Prng(seed)
     if bounds is not None:
+        SceneConfig(width=bounds[0], height=bounds[1], n_points=0)   # the scene size rule
         top = _upper_bounds(bounds[0], bounds[1])
+    rng = Prng(seed)
     out: list[tuple[float, float]] = []
     for x, y in points.coords.tolist():
         if rng.uniform() < drop_rate:
@@ -266,7 +268,8 @@ def sample_separated(n: int, width: float, height: float, min_separation: float,
                      max_attempts_per_point: int = 2000) -> PointSet:
     """Dart-throwing sampler: n points pairwise >= min_separation apart.
 
-    All points stay at least ``margin`` away from the scene borders. A
+    All points stay at least ``margin`` away from the scene borders;
+    ``width``, ``height`` and ``margin`` must be finite. A
     ``min_separation`` <= 0 accepts every candidate. Raises when the
     requested packing cannot be met within the attempt budget.
 
@@ -277,6 +280,9 @@ def sample_separated(n: int, width: float, height: float, min_separation: float,
     """
     if n < 0:
         raise ValueError("n must be non-negative")
+    if not all(math.isfinite(v) for v in (width, height, margin)):
+        raise ValueError(
+            f"width, height and margin must be finite, got {width}, {height}, {margin}")
     if width - 2 * margin <= 0 or height - 2 * margin <= 0:
         raise ValueError("margin leaves no usable area")
     if math.isnan(min_separation):

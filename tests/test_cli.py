@@ -490,6 +490,18 @@ class TestGradcheckCommand:
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             cli.run_gradcheck(1, 9, epsilon)
 
+    def test_epsilon_must_stay_inside_the_draw_margin(self, capsys):
+        # Draws keep 0.2 inside each parameter's range: a step below it
+        # stays in range over many trials, one at or above it is refused.
+        cli.run_gradcheck(200, 9, 0.199)
+        for epsilon in (0.2, 0.25):
+            with pytest.raises(ValueError, match=f"epsilon must be below 0.2, .* got {epsilon}"):
+                cli.run_gradcheck(200, 9, epsilon)
+        assert cli.main(["gradcheck", "--trials", "3", "--epsilon", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: epsilon must be below 0.2")
+
     def test_nan_relative_error_fails(self, capsys, monkeypatch):
         from countmatch import kernels
 
@@ -591,6 +603,30 @@ class TestExitCodeDiscipline:
             assert len(child.stderr.splitlines()) == (code != 0)
             assert "Traceback" not in child.stderr
             assert ("pred_count: 2" in child.stdout) == (code == 0)
+
+    def test_runtime_loads_only_numpy_and_the_standard_library(self, tmp_path):
+        # The runtime is numpy-only: running commands loads no top-level
+        # module beyond the standard library, countmatch and what importing
+        # numpy loads by itself.
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(countmatch.__file__))}
+        report = "import sys; print(*sorted({m.partition('.')[0] for m in sys.modules}))"
+
+        def loaded(code):
+            child = subprocess.run([sys.executable, "-c", f"{code}\n{report}"],
+                                   capture_output=True, text=True, env=env, timeout=120)
+            assert child.returncode == 0, child.stderr
+            return set(child.stdout.splitlines()[-1].split())
+
+        gt, pred = tmp_path / "gt.txt", tmp_path / "pred.txt"
+        commands = [["gradcheck", "--trials", "1"],
+                    ["synth", "--n", "30", "--width", "64", "--height", "64",
+                     "--out", str(gt), "--perturb-out", str(pred),
+                     "--density-out", str(tmp_path / "map.csv")],
+                    ["eval", str(pred), str(gt)]]
+        run = "\n".join(f"assert cli.main({argv!r}) == 0" for argv in commands)
+        used = loaded(f"from countmatch import cli\n{run}")
+        baseline = loaded("import numpy, numpy.random")
+        assert used - baseline - set(sys.stdlib_module_names) == {"countmatch"}
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
