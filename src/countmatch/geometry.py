@@ -489,12 +489,21 @@ def _knn(queries: np.ndarray, targets: PointSet, k: int, floor: Optional[float] 
 def _edge_list(parts: list, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One edge list from ``parts``, a list of ``(qi, ti, d)`` arrays
     (possibly none) against ``m`` targets: query indices, target indices
-    and distances, ordered by query index, then target index."""
+    and distances, ordered by query index, then target index.
+
+    Each (query, target) pair occurs once, so the order is that of the
+    keys ``qi * m + ti``. Parts whose keys already increase strictly, as
+    the full scan's row-major blocks do, are returned without a sort;
+    the grid's parts are sorted.
+    """
     seed = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.float64))
     qi, ti, d = (np.concatenate(c) for c in zip(seed, *parts))
-    order = np.argsort(qi * m + ti)   # each (query, target) pair occurs once
-    return qi[order], ti[order], d[order]
+    key = qi * m + ti
+    if (key[1:] <= key[:-1]).any():
+        order = np.argsort(key)
+        qi, ti, d = qi[order], ti[order], d[order]
+    return qi, ti, d
 
 
 def _row_smallest(d: np.ndarray, counts: np.ndarray, kk: int) -> np.ndarray:

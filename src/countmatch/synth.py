@@ -10,6 +10,17 @@ vectors are portable across platforms and languages: SplitMix64
 (Steele, Lea & Flood 2014) for the bit stream, 53-bit mantissa division
 for uniforms, Box-Muller for normals, Knuth's product method (chunked)
 for Poisson counts. No global RNG state is touched.
+
+SplitMix64 is a counter: its i-th state after s is s + i * gamma mod
+2^64. So :func:`sample_points` and :func:`perturb_points` draw their
+uniforms in numpy blocks, and every point keeps the bits that one
+:class:`Prng` call per value gives. A perturbation's drop draws and
+Box-Muller pairs are read in one loop over the block, as their stream
+positions depend on which points survive; Box-Muller's logarithm, cosine
+and sine stay ``math`` functions, applied per value, and Poisson's
+products are ``np.cumprod`` runs, left to right as the scalar loop
+multiplies. :func:`sample_separated` stays scalar: whether it draws
+again depends on the points it has placed.
 """
 
 from __future__ import annotations
@@ -18,7 +29,9 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
+
+import numpy as np
 
 from .geometry import PointLabel, PointSet
 
@@ -60,6 +73,21 @@ class Prng:
     def uniform(self) -> float:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
+    def _uniforms(self, count: int) -> np.ndarray:
+        """The next ``count`` values of :meth:`uniform` as a float64 array;
+        the state advances as ``count`` calls would. The recipe of
+        :meth:`next_u64` on uint64 arrays, whose arithmetic wraps mod 2^64
+        without a warning."""
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(0x9E3779B97F4A7C15)
+        z += np.uint64(self._state)
+        for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            z ^= z >> np.uint64(shift)
+            z *= np.uint64(factor)
+        z ^= z >> np.uint64(31)
+        self._state = (self._state + count * 0x9E3779B97F4A7C15) & self._MASK
+        return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
     def uniform_in(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.uniform()
 
@@ -77,13 +105,8 @@ class Prng:
         return r * math.cos(theta)
 
     def poisson(self, lam: float) -> int:
-        if not (lam >= 0 and math.isfinite(lam)):
-            raise ValueError("poisson rate must be non-negative and finite")
         total = 0
-        remaining = lam
-        while remaining > 0:
-            chunk = min(remaining, 500.0)
-            remaining -= chunk
+        for chunk in _poisson_chunks(lam):
             limit = math.exp(-chunk)
             k = 0
             p = 1.0
@@ -94,6 +117,18 @@ class Prng:
                     break
             total += k - 1
         return total
+
+
+def _poisson_chunks(lam: float) -> Iterator[float]:
+    """The rates, each at most 500, that Knuth's product method splits
+    ``lam`` into, so that ``exp(-rate)`` does not underflow."""
+    if not (lam >= 0 and math.isfinite(lam)):
+        raise ValueError("poisson rate must be non-negative and finite")
+    remaining = lam
+    while remaining > 0:
+        chunk = min(remaining, 500.0)
+        remaining -= chunk
+        yield chunk
 
 
 class DensityProfile(Enum):
@@ -179,30 +214,31 @@ def two_cluster_layout(cfg: SceneConfig) -> TwoClusterLayout:
 def sample_points(cfg: SceneConfig) -> PointSet:
     """Generate a scene; identical configuration yields identical points."""
     rng = Prng(cfg.seed)
-    pts: list[tuple[float, float]] = []
+    size = (float(cfg.width), float(cfg.height))
     if cfg.profile is DensityProfile.UNIFORM:
-        for _ in range(cfg.n_points):
-            pts.append((rng.uniform() * cfg.width, rng.uniform() * cfg.height))
+        coords = rng._uniforms(2 * cfg.n_points).reshape(-1, 2) * size
     elif cfg.profile is DensityProfile.GRADIENT:
         # Linear density in x: inverse-CDF sampling via sqrt.
-        for _ in range(cfg.n_points):
-            pts.append((cfg.width * math.sqrt(rng.uniform()), rng.uniform() * cfg.height))
+        u = rng._uniforms(2 * cfg.n_points).reshape(-1, 2)
+        coords = np.stack([size[0] * np.sqrt(u[:, 0]), u[:, 1] * size[1]], axis=1)
     else:
         layout = two_cluster_layout(cfg)
         blocks = (
             (layout.n_dense, layout.dense_origin, layout.dense_cols, cfg.spacing_dense),
             (layout.n_sparse, layout.sparse_origin, layout.sparse_cols, cfg.spacing_sparse),
         )
+        lattice = []
         for count, origin, cols, spacing in blocks:
-            for i in range(count):
-                x = origin[0] + (i % cols) * spacing
-                y = origin[1] + (i // cols) * spacing
-                if cfg.jitter > 0:
-                    x += rng.uniform_in(-cfg.jitter, cfg.jitter)
-                    y += rng.uniform_in(-cfg.jitter, cfg.jitter)
-                pts.append((x, y))
+            i = np.arange(count)
+            lattice.append(np.stack([origin[0] + (i % cols) * spacing,
+                                     origin[1] + (i // cols) * spacing], axis=1))
+        coords = np.concatenate(lattice)
+        if cfg.jitter > 0:
+            # Each point's x draw, then its y draw: Prng.uniform_in(-jitter, jitter).
+            lo, hi = -cfg.jitter, cfg.jitter
+            coords = coords + (lo + (hi - lo) * rng._uniforms(2 * cfg.n_points).reshape(-1, 2))
     top = _upper_bounds(cfg.width, cfg.height)
-    return PointSet([_clamp(x, y, top) for x, y in pts], label=PointLabel.GROUND_TRUTH)
+    return PointSet.from_coords(_clamp(coords, top), label=PointLabel.GROUND_TRUTH)
 
 
 def _upper_bounds(width: float, height: float) -> tuple[float, float]:
@@ -210,8 +246,10 @@ def _upper_bounds(width: float, height: float) -> tuple[float, float]:
     return math.nextafter(float(width), 0.0), math.nextafter(float(height), 0.0)
 
 
-def _clamp(x: float, y: float, top: tuple[float, float]) -> tuple[float, float]:
-    return (min(max(x, 0.0), top[0]), min(max(y, 0.0), top[1]))
+def _clamp(coords: np.ndarray, top: tuple[float, float]) -> np.ndarray:
+    """``min(max(v, 0.0), top)`` of each coordinate, as Python takes it: a
+    -0.0 stays -0.0, where ``np.maximum(v, 0.0)`` returns 0.0."""
+    return np.where(coords < 0.0, 0.0, np.where(coords > top, top, coords))
 
 
 def perturb_points(points: PointSet, drop_rate: float, spurious_rate: float = 0.0,
@@ -239,28 +277,79 @@ def perturb_points(points: PointSet, drop_rate: float, spurious_rate: float = 0.
         SceneConfig(width=bounds[0], height=bounds[1], n_points=0)   # the scene size rule
         top = _upper_bounds(bounds[0], bounds[1])
     rng = Prng(seed)
-    out: list[tuple[float, float]] = []
-    for x, y in points.coords.tolist():
-        if rng.uniform() < drop_rate:
+    n = len(points)
+    noisy = noise_sigma > 0
+    # Each point's drop draw, then a survivor's Box-Muller pair (u1, u2)
+    # if there is noise. A u1 of 0 is drawn again, so each 0 in the block
+    # may cost one more value.
+    u = rng._uniforms(3 * n if noisy else n)
+    zeros = int(np.count_nonzero(u == 0.0)) if noisy else 0
+    while zeros:
+        more = rng._uniforms(zeros)
+        u = np.concatenate((u, more))
+        zeros = int(np.count_nonzero(more == 0.0))
+    draws = u.tolist()
+    keep: list[int] = []
+    pairs: list[int] = []   # stream position of each survivor's u1
+    at = 0
+    for i in range(n):
+        at += 1
+        if draws[at - 1] < drop_rate:
             continue
-        if noise_sigma > 0:
-            x = x + noise_sigma * rng.normal()
-            y = y + noise_sigma * rng.normal()
-        if bounds is not None:
-            x, y = _clamp(x, y, top)
-        out.append((x, y))
-    n_spurious = rng.poisson(spurious_rate * len(points))
+        keep.append(i)
+        if noisy:
+            while draws[at] <= 0.0:
+                at += 1
+            pairs.append(at)
+            at += 2
+    coords = points.coords[keep]
+    if noisy:
+        first = np.array(pairs, dtype=np.intp)
+        logs = np.fromiter(map(math.log, u[first].tolist()), np.float64, len(pairs))
+        angles = ((2.0 * math.pi) * u[first + 1]).tolist()
+        unit = np.stack([np.fromiter(map(f, angles), np.float64, len(pairs))
+                         for f in (math.cos, math.sin)], axis=1)
+        coords = coords + noise_sigma * (np.sqrt(-2.0 * logs)[:, None] * unit)
+    if bounds is not None:
+        coords = _clamp(coords, top)
+    n_spurious, rest = _poisson(spurious_rate * n, u[at:], rng)
     if n_spurious:
         # A positive count implies a non-empty input, so the bounding-box
         # fallback is always available.
         if bounds is not None:
-            x0, y0, x1, y1 = 0.0, 0.0, float(bounds[0]), float(bounds[1])
+            lo, hi = np.zeros(2), np.array(bounds, dtype=np.float64)
         else:
-            x0, y0 = points.coords.min(axis=0)
-            x1, y1 = points.coords.max(axis=0)
-        for _ in range(n_spurious):
-            out.append((rng.uniform_in(x0, x1), rng.uniform_in(y0, y1)))
-    return PointSet(out, label=PointLabel.PREDICTED)
+            lo, hi = points.coords.min(axis=0), points.coords.max(axis=0)
+        if rest.size < 2 * n_spurious:
+            rest = np.concatenate((rest, rng._uniforms(2 * n_spurious - rest.size)))
+        spurious = lo + (hi - lo) * rest[:2 * n_spurious].reshape(-1, 2)
+        coords = np.concatenate((coords, spurious))
+    return PointSet.from_coords(coords, label=PointLabel.PREDICTED)
+
+
+def _poisson(lam: float, rest: np.ndarray, rng: Prng) -> tuple[int, np.ndarray]:
+    """``Prng.poisson(lam)`` on the stream that reads ``rest``, then
+    ``rng``. Each run of products is one ``np.cumprod``, which multiplies
+    left to right as the scalar loop does. Returns the count and the
+    values of ``rest`` left unread."""
+    total = 0
+    for chunk in _poisson_chunks(lam):
+        limit = math.exp(-chunk)
+        size = 2 * math.ceil(chunk) + 2   # about twice the expected draws
+        k, p = 0, 1.0
+        while True:
+            if not rest.size:
+                rest = rng._uniforms(size)
+            products = np.cumprod(np.concatenate(([p], rest[:size])))[1:]
+            hit = np.flatnonzero(products <= limit)
+            used = int(hit[0]) + 1 if hit.size else products.size
+            k += used
+            rest = rest[used:]
+            if hit.size:
+                break
+            p = products[-1]
+        total += k - 1
+    return total, rest
 
 
 def sample_separated(n: int, width: float, height: float, min_separation: float,
@@ -269,7 +358,8 @@ def sample_separated(n: int, width: float, height: float, min_separation: float,
     """Dart-throwing sampler: n points pairwise >= min_separation apart.
 
     All points stay at least ``margin`` away from the scene borders;
-    ``width``, ``height`` and ``margin`` must be finite. A
+    ``width``, ``height`` and ``margin`` must be finite, and ``margin``
+    non-negative. A
     ``min_separation`` <= 0 accepts every candidate. Raises when the
     requested packing cannot be met within the attempt budget.
 
@@ -283,6 +373,8 @@ def sample_separated(n: int, width: float, height: float, min_separation: float,
     if not all(math.isfinite(v) for v in (width, height, margin)):
         raise ValueError(
             f"width, height and margin must be finite, got {width}, {height}, {margin}")
+    if margin < 0:
+        raise ValueError(f"margin must be non-negative, got {margin}")
     if width - 2 * margin <= 0 or height - 2 * margin <= 0:
         raise ValueError("margin leaves no usable area")
     if math.isnan(min_separation):

@@ -259,6 +259,18 @@ class TestFusedPass:
         for floor in (1e-3, 2.0, 25.0):
             self.assert_fused_equals_two_passes(PointSet(pred), PointSet(gt), k, floor)
 
+    @pytest.mark.parametrize("n, m", [(40, 60), (1500, GRID_BACKEND_THRESHOLD - 1)])
+    def test_scan_edges_in_one_or_several_blocks(self, n, m):
+        # The scan's edges leave _edge_list unsorted, in the row-major order
+        # of its blocks: one block at 40 x 60, several at 1500 x 255.
+        assert (n * m > geometry._SCAN_BLOCK_CELLS) == (n > 40)
+        rng = np.random.default_rng(63)
+        gt = rng.uniform(0, 300, (m, 2))
+        pred = np.vstack([gt[:n] + rng.normal(0, 2.0, (min(n, m), 2)),
+                          rng.uniform(-20, 320, (max(n - m, 0), 2))])
+        for k, floor in ((1, 1e-3), (3, 5.0), (5, 40.0)):
+            self.assert_fused_equals_two_passes(PointSet(pred), PointSet(gt), k, floor)
+
     @pytest.mark.parametrize("m", [GRID_BACKEND_THRESHOLD - 1, GRID_BACKEND_THRESHOLD])
     def test_coincident_clusters_whose_floor_exceeds_the_disc(self, m, monkeypatch):
         # Four stacks of coincident targets on a 2 px square: on the grid

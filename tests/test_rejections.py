@@ -64,6 +64,11 @@ _REJECTIONS = {
                          _NOT_FINITE),
     "sample-nan-width": (lambda _: sample_separated(3, math.nan, 10.0, 1.0), ValueError,
                          _NOT_FINITE),
+    "sample-negative-margin": (lambda _: sample_separated(5, 10.0, 10.0, 1.0, margin=-5.0, seed=1),
+                               ValueError, "margin must be non-negative, got -5.0"),
+    "sample-margin-past-float-range": (lambda _: sample_separated(5, 10.0, 10.0, 1.0,
+                                                                  margin=-1e308, seed=1),
+                                       ValueError, "margin must be non-negative, got -1e+308"),
     "perturb-negative-bounds": (_perturb_within((-5, 10)), ValueError, _SCENE_SIZE),
     "perturb-zero-bounds": (_perturb_within((0, 0)), ValueError, _SCENE_SIZE),
     "perturb-nan-bounds": (_perturb_within((math.nan, 10)), ValueError, _SCENE_SIZE),

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from countmatch.geometry import PointLabel, PointSet, all_radii, pairwise_distances
 from countmatch.synth import (
@@ -357,3 +359,167 @@ class TestSampleSeparatedGrid:
         pts = sample_separated(4000, 2000, 2000, 5.0, seed=1)
         assert time.perf_counter() - t0 < 0.5
         assert len(pts) == 4000
+
+
+def _reference_sample_points(cfg):
+    """The one-call-per-value loop that the block draws replaced, verbatim
+    but for the clamp, written out."""
+    rng = Prng(cfg.seed)
+    pts = []
+    if cfg.profile is DensityProfile.UNIFORM:
+        for _ in range(cfg.n_points):
+            pts.append((rng.uniform() * cfg.width, rng.uniform() * cfg.height))
+    elif cfg.profile is DensityProfile.GRADIENT:
+        for _ in range(cfg.n_points):
+            pts.append((cfg.width * math.sqrt(rng.uniform()), rng.uniform() * cfg.height))
+    else:
+        layout = two_cluster_layout(cfg)
+        blocks = (
+            (layout.n_dense, layout.dense_origin, layout.dense_cols, cfg.spacing_dense),
+            (layout.n_sparse, layout.sparse_origin, layout.sparse_cols, cfg.spacing_sparse),
+        )
+        for count, origin, cols, spacing in blocks:
+            for i in range(count):
+                x = origin[0] + (i % cols) * spacing
+                y = origin[1] + (i // cols) * spacing
+                if cfg.jitter > 0:
+                    x += rng.uniform_in(-cfg.jitter, cfg.jitter)
+                    y += rng.uniform_in(-cfg.jitter, cfg.jitter)
+                pts.append((x, y))
+    top = (math.nextafter(float(cfg.width), 0.0), math.nextafter(float(cfg.height), 0.0))
+    return PointSet([(min(max(x, 0.0), top[0]), min(max(y, 0.0), top[1])) for x, y in pts],
+                    label=PointLabel.GROUND_TRUTH)
+
+
+def _reference_perturb_points(points, drop_rate, spurious_rate=0.0, noise_sigma=0.0, seed=0,
+                              bounds=None):
+    """The one-call-per-value loop that the block draws replaced, verbatim
+    but for the input checks, left out, and the clamp, written out."""
+    if bounds is not None:
+        top = (math.nextafter(float(bounds[0]), 0.0), math.nextafter(float(bounds[1]), 0.0))
+    rng = Prng(seed)
+    out = []
+    for x, y in points.coords.tolist():
+        if rng.uniform() < drop_rate:
+            continue
+        if noise_sigma > 0:
+            x = x + noise_sigma * rng.normal()
+            y = y + noise_sigma * rng.normal()
+        if bounds is not None:
+            x, y = min(max(x, 0.0), top[0]), min(max(y, 0.0), top[1])
+        out.append((x, y))
+    n_spurious = rng.poisson(spurious_rate * len(points))
+    if n_spurious:
+        if bounds is not None:
+            x0, y0, x1, y1 = 0.0, 0.0, float(bounds[0]), float(bounds[1])
+        else:
+            x0, y0 = points.coords.min(axis=0)
+            x1, y1 = points.coords.max(axis=0)
+        for _ in range(n_spurious):
+            out.append((rng.uniform_in(x0, x1), rng.uniform_in(y0, y1)))
+    return PointSet(out, label=PointLabel.PREDICTED)
+
+
+def _outcome(f, *args, **kwargs):
+    """The coordinates' bits, or the message of the ValueError raised."""
+    try:
+        return f(*args, **kwargs).coords.view(np.uint64)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        np.testing.assert_array_equal(got, want)
+
+
+_SEEDS = st.integers(-(2 ** 63), 2 ** 64 - 1)
+_SIZES = st.one_of(st.integers(1, 2000), st.floats(1.0, 2000.0))
+
+
+@st.composite
+def scene_configs(draw):
+    return SceneConfig(
+        width=draw(_SIZES), height=draw(_SIZES), n_points=draw(st.integers(0, 300)),
+        profile=draw(st.sampled_from(DensityProfile)),
+        spacing_dense=draw(st.floats(0.1, 4.0)), spacing_sparse=draw(st.floats(1.0, 30.0)),
+        jitter=draw(st.one_of(st.just(0.0), st.floats(0.0, 6.0))), seed=draw(_SEEDS))
+
+
+class TestBlockDraws:
+    """``sample_points`` and ``perturb_points`` draw their uniforms in numpy
+    blocks; every coordinate keeps the bits of one ``Prng`` call per value."""
+
+    @pytest.mark.parametrize("seed", [0, 1, -1, 2 ** 63, 2 ** 64 - 0x9E3779B97F4A7C15])
+    @pytest.mark.parametrize("count", [0, 1, 7, 1000])
+    def test_block_equals_consecutive_uniforms(self, seed, count):
+        # 2^64 - gamma: the first state wraps to exactly 0, whose mix is 0.
+        block, scalar = Prng(seed), Prng(seed)
+        got = block._uniforms(count)
+        want = np.array([scalar.uniform() for _ in range(count)], dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == (count,)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert block._state == scalar._state
+        assert block.next_u64() == scalar.next_u64()
+
+    @given(scene_configs(),
+           st.lists(st.tuples(*[st.one_of(st.just(-0.0), st.floats(-30.0, 430.0))] * 2),
+                    max_size=20),
+           st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+           st.floats(0.0, 3.0),
+           st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+           _SEEDS,
+           st.one_of(st.none(), st.tuples(_SIZES, _SIZES)))
+    @settings(deadline=None)
+    def test_equal_to_one_call_per_value(self, cfg, extra, drop_rate, spurious_rate,
+                                         noise_sigma, seed, bounds):
+        # Run with --hypothesis-profile=ci for the CI example count.
+        want = _outcome(_reference_sample_points, cfg)
+        _assert_same_outcome(_outcome(sample_points, cfg), want)
+        scene = np.zeros((0, 2)) if isinstance(want, str) else sample_points(cfg).coords
+        points = PointSet.from_coords(np.concatenate([scene, np.reshape(extra, (-1, 2))]))
+        args = (points, drop_rate, spurious_rate, noise_sigma, seed, bounds)
+        _assert_same_outcome(_outcome(perturb_points, *args),
+                             _outcome(_reference_perturb_points, *args))
+
+
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _undo_xorshift(y, shift):
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _unmix(z):
+    """The state that SplitMix64's output mixer maps to ``z``: each of its
+    xor-shifts and odd multipliers has an inverse."""
+    z = _undo_xorshift(z, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK
+    z = _undo_xorshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK
+    return _undo_xorshift(z, 30)
+
+
+@pytest.mark.parametrize("survivor", [0, 4, 9])
+@pytest.mark.parametrize("bounds", [None, (40, 30)])
+def test_box_muller_draws_a_zero_u1_again(survivor, bounds):
+    # With no drops, draw 3i is point i's drop draw and 3i + 1 its u1. The
+    # seed puts the output 2047, whose uniform is exactly 0.0, at the
+    # chosen survivor's u1, so Box-Muller reads the next value in its place.
+    at = 3 * survivor + 1
+    seed = (_unmix(2047) - (at + 1) * _GAMMA) & _MASK
+    rng = Prng(seed)
+    for _ in range(at):
+        rng.next_u64()
+    assert rng.next_u64() == 2047
+    points = PointSet.from_coords(np.random.default_rng(5).uniform(0, 30, (10, 2)))
+    args = (points, 0.0, 0.4, 1.5, seed, bounds)
+    got, want = perturb_points(*args), _reference_perturb_points(*args)
+    np.testing.assert_array_equal(got.coords.view(np.uint64), want.coords.view(np.uint64))
