@@ -9,7 +9,7 @@ and a deterministic synthetic scene generator, all tied together by the
 """
 
 from .assignment import Assignment, hungarian_solve
-from .densitymap import DensityMap, default_threshold, extract_peaks, render_density
+from .densitymap import DensityMap, extract_peaks, render_density
 from .dynconv import (
     AttentionState,
     FeatureMap,
@@ -26,9 +26,7 @@ from .geometry import (
     PointLabel,
     PointSet,
     RadiusProfile,
-    adaptive_radius,
     all_radii,
-    knn_distances,
     pairwise_distances,
 )
 from .kernels import (
@@ -36,7 +34,6 @@ from .kernels import (
     KernelGradients,
     KernelParams,
     kernel_gradients,
-    squash_params,
     synthesize_kernel,
 )
 from .matching import (
@@ -48,11 +45,10 @@ from .matching import (
     brute_force_match,
     build_weight_matrix,
     fixed_radius_match,
-    gaussian_weight,
     match_points,
     match_with_radii,
 )
-from .metrics import CountReport, ImageEval, aggregate_report, count_error, evaluate_case, localization_prf
+from .metrics import CountReport, ImageEval, aggregate_report, count_error, evaluate_case
 from .synth import (
     DensityProfile,
     Prng,
@@ -92,23 +88,18 @@ __all__ = [
     "SigmaMode",
     "TwoClusterLayout",
     "WeightMatrix",
-    "adaptive_radius",
     "aggregate_report",
     "all_radii",
     "brute_force_match",
     "build_weight_matrix",
     "count_error",
-    "default_threshold",
     "dynamic_gaussian_conv",
     "evaluate_case",
     "extract_peaks",
     "fixed_radius_match",
     "fusion_attention",
-    "gaussian_weight",
     "hungarian_solve",
     "kernel_gradients",
-    "knn_distances",
-    "localization_prf",
     "match_points",
     "match_with_radii",
     "multiscale_forward",
@@ -118,7 +109,6 @@ __all__ = [
     "render_density",
     "sample_points",
     "sample_separated",
-    "squash_params",
     "synthesize_kernel",
     "two_cluster_layout",
 ]

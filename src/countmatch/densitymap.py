@@ -144,11 +144,6 @@ def render_density(points: PointSet, sigma: float, height: int, width: int) -> D
     return DensityMap(values)
 
 
-def default_threshold(dmap: DensityMap) -> float:
-    """Half the map maximum; the decoding default when nothing better is known."""
-    return 0.5 * float(dmap.values.max())
-
-
 _NEIGHBOR_OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
 
 

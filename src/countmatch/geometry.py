@@ -75,9 +75,6 @@ class Point:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
 
-    def distance_to(self, other: "Point") -> float:
-        return float(_distances((self.x, self.y), (other.x, other.y)))
-
 
 PointLike = Union[Point, Sequence[float]]
 
@@ -354,36 +351,6 @@ def _square_bound(r):
     """
     with np.errstate(over="ignore"):
         return r * r * (1 + 2.0 ** -47) + 2.0 ** -1020
-
-
-def knn_distances(query: PointLike, targets: PointSet, k: int) -> np.ndarray:
-    """Distances from ``query`` to its k nearest points of ``targets``.
-
-    Parameters
-    ----------
-    query : Point or (x, y)
-    targets : PointSet
-        Must be non-empty.
-    k : int
-        Number of neighbors requested; clamped to ``len(targets)``.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``min(k, len(targets))`` Euclidean distances in non-decreasing
-        order. This is a prefix of the fully sorted distance list.
-    """
-    return _knn(PointSet([query]).coords, targets, k)[0][0]
-
-
-def adaptive_radius(p: PointLike, gt: PointSet, k: int = DEFAULT_K,
-                    floor: float = DEFAULT_RADIUS_FLOOR) -> float:
-    """Mean distance to the k nearest ground-truth points, floored.
-
-    When ``k`` exceeds the number of available targets the mean is taken
-    over all of them; the result is never below ``floor``.
-    """
-    return float(all_radii(PointSet([p]), gt, k, floor).radii[0])
 
 
 #: Cell budget of one block of a full scan: query rows are scanned in

@@ -14,8 +14,8 @@ down, image convention) the kernel value is
 
 whose integral over the continuous plane is exactly 1.
 
-Raw, unconstrained parameters are mapped into their ranges by smooth
-squashing functions (logistic, tanh, exp) rather than clamping, so that
+Raw, unconstrained sigma and offsets are mapped into their ranges by
+smooth squashing functions (logistic, tanh) rather than clamping, so that
 gradients never vanish at the range boundaries. Closed-form partial
 derivatives with respect to all five parameters are provided and are
 checked against central finite differences in the test suite.
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -116,34 +115,6 @@ class KernelGradients:
     def as_dict(self) -> dict[str, np.ndarray]:
         return {"sigma": self.d_sigma, "dx": self.d_dx, "dy": self.d_dy,
                 "sx": self.d_sx, "sy": self.d_sy}
-
-
-def squash_params(raw: Sequence[float]) -> KernelParams:
-    """Map five unconstrained reals onto a valid parameter bundle.
-
-    sigma = 1 + 9 * logistic(r0), dx = 2 tanh(r1), dy = 2 tanh(r2),
-    sx = exp(r3), sy = exp(r4). Each map is smooth, strictly monotone,
-    and invertible on the open target range; a raw vector of zeros lands
-    on (sigma=5.5, dx=dy=0, sx=sy=1).
-    """
-    r = np.asarray(raw, dtype=np.float64).reshape(-1)
-    if r.shape[0] != 5:
-        raise ValueError(f"expected 5 raw parameters, got {r.shape[0]}")
-    if not np.all(np.isfinite(r)):
-        raise ValueError("raw parameters must be finite")
-    with np.errstate(over="raise"):
-        try:
-            sx = float(np.exp(r[3]))
-            sy = float(np.exp(r[4]))
-        except FloatingPointError as exc:
-            raise ValueError("axial scale exponent overflows") from exc
-    return KernelParams(
-        sigma=float(squash_sigma(r[0])),
-        dx=float(squash_offset(r[1])),
-        dy=float(squash_offset(r[2])),
-        sx=sx,
-        sy=sy,
-    )
 
 
 def _validate_size(size: int) -> int:

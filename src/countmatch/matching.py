@@ -140,15 +140,6 @@ class MatchResult:
         return len(self.pairs) + len(self.unmatched_gt)
 
 
-def gaussian_weight(d: float, sigma: float) -> float:
-    """exp(-d^2 / (2 sigma^2)): 1 at distance zero, decaying with squared
-    distance."""
-    cfg = MatchConfig(sigma_mode=SigmaMode.FIXED, sigma_value=sigma)
-    if not math.isfinite(d):
-        raise ValueError("distance must be finite")
-    return float(_gaussian(np.float64(d), None, cfg))
-
-
 def build_weight_matrix(pred: PointSet, gt: PointSet, radii: RadiusProfile,
                         cfg: MatchConfig) -> WeightMatrix:
     """Pairing weights of every prediction against every ground truth.

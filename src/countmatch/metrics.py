@@ -16,8 +16,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .geometry import PointSet
-from .matching import MatchConfig, MatchResult, match_points
+from .matching import MatchConfig, match_points
 
 
 @dataclass(frozen=True)
@@ -54,52 +56,31 @@ class CountReport:
 
 
 def count_error(pred_counts: Sequence[int], gt_counts: Sequence[int]) -> tuple[float, float, float]:
-    """(mae, mse_paper, mse_literal) over paired per-image counts."""
+    """(mae, mse_paper, mse_literal) over paired per-image counts, given as
+    sequences or 1-D arrays. Errors are taken on the Python numbers of
+    ``np.asarray(counts).tolist()``, so the square of a numpy integer
+    count cannot overflow."""
     if len(pred_counts) != len(gt_counts):
         raise ValueError(
             f"count lists must have equal length, got {len(pred_counts)} and {len(gt_counts)}")
-    if not pred_counts:
+    if len(pred_counts) == 0:
         raise ValueError("count lists must be non-empty")
-    errs = [abs(p - g) for p, g in zip(pred_counts, gt_counts)]
+    errs = [abs(p - g) for p, g in zip(np.asarray(pred_counts).tolist(),
+                                       np.asarray(gt_counts).tolist())]
     mae = math.fsum(errs) / len(errs)
     mse_literal = math.fsum(e * e for e in errs) / len(errs)
     return mae, math.sqrt(mse_literal), mse_literal
 
 
-def localization_prf(match: MatchResult, tolerance: float) -> tuple[float, float, float]:
-    """Precision, recall, F1 of a match result at a distance tolerance.
-
-    True positives are matched pairs with distance <= tolerance.
-    Conventions: a zero denominator with zero true positives yields 0,
-    except that an entirely empty instance (no predictions, no ground
-    truth) scores a perfect (1, 1, 1). F1 is 0 whenever P + R is 0.
-    """
-    return _prf(_true_positives(match, tolerance), match.n_pred, match.n_gt)
-
-
-def _true_positives(match: MatchResult, tolerance: float) -> int:
-    """Matched pairs of ``match`` at distance <= ``tolerance``, which must
-    be positive."""
-    if not (tolerance > 0):
-        raise ValueError("tolerance must be positive")
-    return sum(1 for p in match.pairs if p.distance <= tolerance)
-
-
-def _prf(tp: int, n_pred: int, n_gt: int) -> tuple[float, float, float]:
-    if n_pred == 0 and n_gt == 0:
-        return 1.0, 1.0, 1.0
-    precision = tp / n_pred if n_pred else 0.0
-    recall = tp / n_gt if n_gt else 0.0
-    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return precision, recall, f1
-
-
 def evaluate_case(image_id: str, pred: PointSet, gt: PointSet, tolerance: float,
                   cfg: Optional[MatchConfig] = None) -> ImageEval:
-    """Match one image and tally its counts and true positives."""
+    """Match one image and tally its counts and true positives: the matched
+    pairs at distance <= ``tolerance``, which must be positive."""
     result = match_points(pred, gt, cfg or MatchConfig())
+    if not (tolerance > 0):
+        raise ValueError("tolerance must be positive")
     return ImageEval(image_id=image_id, predicted=len(pred), ground_truth=len(gt),
-                     true_positives=_true_positives(result, tolerance))
+                     true_positives=sum(1 for p in result.pairs if p.distance <= tolerance))
 
 
 def aggregate_report(per_image: Sequence[ImageEval]) -> CountReport:
@@ -107,6 +88,9 @@ def aggregate_report(per_image: Sequence[ImageEval]) -> CountReport:
 
     Counting metrics come from the per-image counts; precision/recall/F1
     are micro-averaged (totals of TP, predictions, and ground truth).
+    Conventions: a zero denominator with zero true positives yields 0,
+    except that an entirely empty instance (no predictions, no ground
+    truth) scores a perfect (1, 1, 1). F1 is 0 whenever P + R is 0.
     Input order is preserved in the report.
     """
     if not per_image:
@@ -116,6 +100,11 @@ def aggregate_report(per_image: Sequence[ImageEval]) -> CountReport:
     tp = sum(im.true_positives for im in per_image)
     n_pred = sum(im.predicted for im in per_image)
     n_gt = sum(im.ground_truth for im in per_image)
-    precision, recall, f1 = _prf(tp, n_pred, n_gt)
+    if n_pred == 0 and n_gt == 0:
+        precision = recall = f1 = 1.0
+    else:
+        precision = tp / n_pred if n_pred else 0.0
+        recall = tp / n_gt if n_gt else 0.0
+        f1 = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return CountReport(per_image=tuple(per_image), mae=mae, mse_paper=mse_paper,
                        mse_literal=mse_literal, precision=precision, recall=recall, f1=f1)

@@ -131,6 +131,17 @@ def _poisson_chunks(lam: float) -> Iterator[float]:
         yield chunk
 
 
+def _point_count(n, name: str) -> int:
+    """The point-count rule: ``n`` is an ``int`` or numpy integer of at
+    least 0, never a ``bool``. Returned as an ``int``, so that the sizes
+    computed from it cannot wrap as a small numpy integer would."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < 0:
+        raise ValueError(f"{name} must be non-negative")
+    return int(n)
+
+
 class DensityProfile(Enum):
     UNIFORM = "uniform"
     TWO_CLUSTER = "two_cluster"
@@ -153,8 +164,7 @@ class SceneConfig:
     def __post_init__(self) -> None:
         if not all(1 <= s <= sys.float_info.max for s in (self.width, self.height)):
             raise ValueError("scene dimensions must be positive and within the float range")
-        if self.n_points < 0:
-            raise ValueError("n_points must be non-negative")
+        object.__setattr__(self, "n_points", _point_count(self.n_points, "n_points"))
         if not (self.jitter >= 0 and math.isfinite(self.jitter)):
             raise ValueError("jitter must be non-negative and finite")
         if not all(s > 0 and math.isfinite(s) for s in (self.spacing_dense, self.spacing_sparse)):
@@ -368,8 +378,7 @@ def sample_separated(n: int, width: float, height: float, min_separation: float,
     compared only with the points of the 5 x 5 block of cells around its
     own: every point closer than ``min_separation`` lies in that block.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = _point_count(n, "n")
     if not all(math.isfinite(v) for v in (width, height, margin)):
         raise ValueError(
             f"width, height and margin must be finite, got {width}, {height}, {margin}")

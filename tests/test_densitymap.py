@@ -12,7 +12,6 @@ from countmatch.densitymap import (
     _NEIGHBOR_OFFSETS,
     DensityMap,
     _min_label_components,
-    default_threshold,
     extract_peaks,
     load_binary,
     load_csv,
@@ -288,10 +287,6 @@ class TestExtractPeaks:
         elapsed = time.perf_counter() - start
         assert peaks.coords.tolist() == [[511.5, 511.5]]
         assert elapsed < 1.0
-
-    def test_default_threshold(self):
-        dm = DensityMap(np.array([[0.0, 4.0], [1.0, 2.0]]))
-        assert default_threshold(dm) == 2.0
 
 
 _NEIGHBORS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
@@ -670,6 +665,5 @@ class TestMapsHaveAPixel:
 
     def test_one_pixel_map_decodes(self):
         dm = DensityMap(np.array([[0.5]]))
-        assert default_threshold(dm) == 0.25
         assert extract_peaks(dm, 0.25).coords.tolist() == [[0.0, 0.0]]
         assert extract_peaks(dm, 1.0).coords.shape == (0, 2)

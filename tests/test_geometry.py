@@ -14,9 +14,7 @@ from countmatch.geometry import (
     PointSet,
     RadiusProfile,
     _knn,
-    adaptive_radius,
     all_radii,
-    knn_distances,
     pairs_within,
     pairwise_distances,
 )
@@ -29,6 +27,16 @@ def brute_knn(query, targets, k):
     c = targets.coords
     d = np.sort(np.hypot(c[:, 0] - q[0], c[:, 1] - q[1]))
     return d[: min(k, len(targets))]
+
+
+def knn_of(query, targets, k):
+    """The k nearest distances of one query point, through ``_knn``."""
+    return _knn(PointSet([query]).coords, targets, k)[0][0]
+
+
+def radius_of(p, gt, k, floor=DEFAULT_RADIUS_FLOOR):
+    """The adaptive radius of one point, through ``all_radii``."""
+    return all_radii(PointSet([p]), gt, k, floor).radii[0]
 
 
 class TestPointTypes:
@@ -63,35 +71,35 @@ class TestPointTypes:
 
 class TestKnnDistances:
     def test_three_four_five(self):
-        d = knn_distances(Point(0, 0), PointSet([(3, 4)]), k=1)
+        d = knn_of(Point(0, 0), PointSet([(3, 4)]), k=1)
         assert d.tolist() == [5.0]
 
     def test_collinear(self):
         targets = PointSet([(1, 1), (2, 1), (4, 1)])
-        d = knn_distances(Point(1, 1), targets, k=3)
+        d = knn_of(Point(1, 1), targets, k=3)
         assert d.tolist() == [0.0, 1.0, 3.0]
 
     def test_k_clamped_to_target_count(self):
         targets = PointSet([(1, 0), (2, 0)])
-        d = knn_distances(Point(0, 0), targets, k=10)
+        d = knn_of(Point(0, 0), targets, k=10)
         assert d.tolist() == [1.0, 2.0]
 
     def test_against_full_sort_oracle(self):
         rng = np.random.default_rng(7)
         targets = PointSet(rng.uniform(0, 1, (100, 2)))
-        d = knn_distances(Point(0, 0), targets, k=5)
+        d = knn_of(Point(0, 0), targets, k=5)
         np.testing.assert_array_equal(d, brute_knn((0, 0), targets, 5))
 
     def test_errors(self):
         with pytest.raises(ValueError, match="no ground truth"):
-            knn_distances(Point(0, 0), PointSet([]), k=1)
+            knn_of(Point(0, 0), PointSet([]), k=1)
         with pytest.raises(ValueError, match="invalid k"):
-            knn_distances(Point(0, 0), PointSet([(1, 1)]), k=0)
+            knn_of(Point(0, 0), PointSet([(1, 1)]), k=0)
 
     @pytest.mark.parametrize("k", [0, -3, 2.5, 3.0, np.float64(2.0), True, "5", None])
     def test_k_is_a_positive_integer(self, k):
         gt = PointSet([(1.0, 1.0), (2.0, 3.0)])
-        calls = [lambda: knn_distances((0.0, 0.0), gt, k), lambda: all_radii(gt, gt, k),
+        calls = [lambda: knn_of((0.0, 0.0), gt, k), lambda: all_radii(gt, gt, k),
                  lambda: _knn(gt.coords, gt, k, 1e-3), lambda: RadiusProfile(np.ones(1), k)]
         for call in calls:
             with pytest.raises(ValueError, match="^invalid k$"):
@@ -105,9 +113,9 @@ class TestKnnDistances:
     @pytest.mark.parametrize("query", [(float("nan"), 0.0), (0.0, float("inf"))])
     def test_non_finite_query(self, query):
         with pytest.raises(ValueError, match="non-finite"):
-            knn_distances(query, PointSet([(1, 1)]), k=1)
+            knn_of(query, PointSet([(1, 1)]), k=1)
         with pytest.raises(ValueError, match="non-finite"):
-            adaptive_radius(query, PointSet([(1, 1)]), k=1)
+            radius_of(query, PointSet([(1, 1)]), k=1)
 
     def test_sorted_prefix_property(self):
         # The k-NN output must be a prefix of the fully sorted distance list.
@@ -117,7 +125,7 @@ class TestKnnDistances:
             q = rng.uniform(-60, 60, 2)
             for k in (1, 3, n, n + 4):
                 np.testing.assert_array_equal(
-                    knn_distances(q, targets, k), brute_knn(q, targets, k))
+                    knn_of(q, targets, k), brute_knn(q, targets, k))
 
     def test_grid_backend_matches_scan(self):
         # Above the threshold the uniform-grid index takes over; distances
@@ -128,11 +136,11 @@ class TestKnnDistances:
         for _ in range(50):
             q = rng.uniform(-20, 220, 2)
             np.testing.assert_array_equal(
-                knn_distances(q, targets, 5), brute_knn(q, targets, 5))
+                knn_of(q, targets, 5), brute_knn(q, targets, 5))
 
     def test_grid_backend_identical_points(self):
         targets = PointSet([(5.0, 5.0)] * (GRID_BACKEND_THRESHOLD + 1))
-        d = knn_distances(Point(5, 5), targets, k=3)
+        d = knn_of(Point(5, 5), targets, k=3)
         assert d.tolist() == [0.0, 0.0, 0.0]
 
     def test_grid_query_far_outside_the_cloud(self):
@@ -147,7 +155,7 @@ class TestKnnDistances:
         t0 = time.perf_counter()
         for q in far:
             np.testing.assert_array_equal(
-                knn_distances(q, targets, 5), brute_knn(q, targets, 5))
+                knn_of(q, targets, 5), brute_knn(q, targets, 5))
         radii = all_radii(queries, targets, k=5, floor=1e-9).radii
         qi, ti, d = pairs_within(queries, targets, r)
         assert time.perf_counter() - t0 < 0.1
@@ -214,7 +222,7 @@ class TestGridEqualsFullScan:
         self.assert_grid_equals_full_scan(queries, targets, radii, 1)
         full = np.sort(pairwise_distances(queries, targets), axis=1)
         for i, q in enumerate(queries.coords):
-            assert knn_distances(q, targets, 5).tobytes() == full[i, :5].tobytes()
+            assert knn_of(q, targets, 5).tobytes() == full[i, :5].tobytes()
 
     @staticmethod
     def assert_grid_equals_full_scan(queries, targets, radii, k):
@@ -224,7 +232,7 @@ class TestGridEqualsFullScan:
         got = all_radii(queries, targets, k=k, floor=1e-3).radii
         assert got.tobytes() == np.maximum(nearest.mean(axis=1), 1e-3).tobytes()
         for i in (0, len(queries) - 1):
-            assert knn_distances(queries.coords[i], targets, k).tobytes() == nearest[i].tobytes()
+            assert knn_of(queries.coords[i], targets, k).tobytes() == nearest[i].tobytes()
 
 
 class TestFusedPass:
@@ -643,29 +651,29 @@ class TestAdaptiveRadius:
     def test_mean_of_distances(self):
         # Distances 1, 2, 3 -> mean 2.
         gt = PointSet([(1, 0), (2, 0), (3, 0)])
-        assert adaptive_radius(Point(0, 0), gt, k=3, floor=1e-3) == 2.0
+        assert radius_of(Point(0, 0), gt, k=3, floor=1e-3) == 2.0
 
     def test_floor_engages_at_zero_distance(self):
         gt = PointSet([(4, 4)])
-        assert adaptive_radius(Point(4, 4), gt, k=1, floor=1e-3) == 1e-3
+        assert radius_of(Point(4, 4), gt, k=1, floor=1e-3) == 1e-3
 
     def test_random_cloud_against_oracle(self):
         rng = np.random.default_rng(3)
         gt = PointSet(rng.uniform(0, 10, (50, 2)))
         p = Point(5, 5)
         expected = brute_knn((5, 5), gt, 5).mean()
-        assert adaptive_radius(p, gt, k=5, floor=1e-9) == pytest.approx(expected, abs=1e-15)
+        assert radius_of(p, gt, k=5, floor=1e-9) == pytest.approx(expected, abs=1e-15)
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(5)
         gt = PointSet(rng.uniform(0, 10, (30, 2)))
         p = Point(2, 7)
-        radii = [adaptive_radius(p, gt, k=k, floor=1e-9) for k in range(1, 31)]
+        radii = [radius_of(p, gt, k=k, floor=1e-9) for k in range(1, 31)]
         assert all(a <= b + 1e-15 for a, b in zip(radii, radii[1:]))
 
     def test_invalid_floor(self):
         with pytest.raises(ValueError):
-            adaptive_radius(Point(0, 0), PointSet([(1, 1)]), k=1, floor=0.0)
+            radius_of(Point(0, 0), PointSet([(1, 1)]), k=1, floor=0.0)
 
 
 class TestAllRadii:
@@ -698,7 +706,7 @@ class TestAllRadii:
         gt = PointSet(rng.uniform(0, 30, (40, 2)))
         pred = PointSet(rng.uniform(0, 30, (10, 2)))
         prof = all_radii(pred, gt, k=4, floor=1e-3)
-        singles = [adaptive_radius(p, gt, k=4, floor=1e-3) for p in pred]
+        singles = [radius_of(p, gt, k=4, floor=1e-3) for p in pred]
         np.testing.assert_allclose(prof.radii, singles, atol=1e-15)
 
     def test_scan_in_several_blocks_matches_per_point_calls(self):
@@ -707,7 +715,7 @@ class TestAllRadii:
         gt = PointSet(rng.uniform(0, 30, (200, 2)))
         pred = PointSet(rng.uniform(-5, 35, (1000, 2)))
         prof = all_radii(pred, gt, k=3, floor=1e-3)
-        singles = [adaptive_radius(p, gt, k=3, floor=1e-3) for p in pred]
+        singles = [radius_of(p, gt, k=3, floor=1e-3) for p in pred]
         np.testing.assert_allclose(prof.radii, singles, atol=1e-15)
 
     def test_grid_path_agrees_with_scan_path(self):
@@ -728,9 +736,9 @@ class TestAllRadii:
         near = [(1.0, 2.0), (-3.0, 0.5)]
         prof = all_radii(PointSet([(0.0, 1e308)] + near), gt, k=5)
         assert prof.radii[0] == pytest.approx(1e308, rel=1e-15)
-        assert adaptive_radius((0.0, 1e308), gt, k=5) == prof.radii[0]
+        assert radius_of((0.0, 1e308), gt, k=5) == prof.radii[0]
         assert prof.radii[1:].tobytes() == all_radii(PointSet(near), gt, k=5).radii.tobytes()
-        assert adaptive_radius(near[0], gt, k=5) == prof.radii[1]
+        assert radius_of(near[0], gt, k=5) == prof.radii[1]
 
     @pytest.mark.parametrize("m", [2, GRID_BACKEND_THRESHOLD + 20])
     def test_distance_beyond_float_range_names_the_cause(self, m):
@@ -740,7 +748,7 @@ class TestAllRadii:
         with pytest.raises(ValueError, match="span more than the float range"):
             all_radii(PointSet([(-1e308, 0.0)]), gt, k=1)
         with pytest.raises(ValueError, match="span more than the float range"):
-            adaptive_radius((-1e308, 0.0), gt, k=1)
+            radius_of((-1e308, 0.0), gt, k=1)
 
 
 class TestGeometryProperties:
@@ -749,8 +757,8 @@ class TestGeometryProperties:
         gt = rng.uniform(0, 10, (20, 2))
         p = np.array([4.0, 6.0])
         shift = np.array([123.456, -987.654])
-        base = knn_distances(p, PointSet(gt), 6)
-        moved = knn_distances(p + shift, PointSet(gt + shift), 6)
+        base = knn_of(p, PointSet(gt), 6)
+        moved = knn_of(p + shift, PointSet(gt + shift), 6)
         np.testing.assert_allclose(moved, base, atol=1e-12)
 
     def test_density_response_power_of_two_scale(self):
@@ -784,9 +792,3 @@ class TestGeometryProperties:
         b = PointSet([(1e308, 0.0), (1.5e308, 1.5e308), (3.0, 4.0)])
         d = pairwise_distances(a, b)
         assert d.tolist() == [[np.inf, np.inf, 1e308], [1e308, np.inf, 5.0]]
-
-    def test_point_distance_beyond_float_range(self):
-        # The same distance rule as pairwise_distances, one pair at a time.
-        assert Point(0.0, 0.0).distance_to(Point(3.0, 4.0)) == 5.0
-        assert Point(-1e308, 0.0).distance_to(Point(1e308, 0.0)) == np.inf
-        assert Point(0.0, 0.0).distance_to(Point(1.5e308, 1.5e308)) == np.inf

@@ -11,7 +11,8 @@ from countmatch.kernels import (
     KernelParams,
     kernel_gradients,
     logistic,
-    squash_params,
+    squash_offset,
+    squash_sigma,
     synthesize_kernel,
 )
 
@@ -26,42 +27,25 @@ def eval_formula(params, u, v):
 
 class TestSquash:
     def test_midpoint(self):
-        p = squash_params([0, 0, 0, 0, 0])
-        assert p == KernelParams(sigma=5.5, dx=0.0, dy=0.0, sx=1.0, sy=1.0)
+        assert squash_sigma(0.0) == 5.5
+        assert squash_offset(0.0) == 0.0
 
     def test_logistic_asymptote(self):
         # sigma approaches but never exceeds 10.
-        p = squash_params([50, 0, 0, 0, 0])
-        assert p.sigma <= 10.0
-        assert p.sigma == pytest.approx(10.0, abs=1e-12)
-        assert squash_params([-50, 0, 0, 0, 0]).sigma >= 1.0
+        assert squash_sigma(50.0) <= 10.0
+        assert squash_sigma(50.0) == pytest.approx(10.0, abs=1e-12)
+        assert squash_sigma(-50.0) >= 1.0
 
     def test_random_raws_stay_in_range(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            raw = rng.normal(scale=3.0, size=5)
-            p = squash_params(raw)
-            assert 1.0 <= p.sigma <= 10.0
-            assert -2.0 <= p.dx <= 2.0
-            assert -2.0 <= p.dy <= 2.0
-            assert p.sx > 0 and p.sy > 0
+        raw = np.random.default_rng(0).normal(scale=3.0, size=(50, 2))
+        sigma = squash_sigma(raw)
+        assert np.all((sigma >= 1.0) & (sigma <= 10.0))
+        assert np.all(np.abs(squash_offset(raw)) <= 2.0)
 
     def test_monotone_in_each_coordinate(self):
         grid = np.linspace(-6, 6, 41)
-        sig = [squash_params([r, 0, 0, 0, 0]).sigma for r in grid]
-        dx = [squash_params([0, r, 0, 0, 0]).dx for r in grid]
-        sx = [squash_params([0, 0, 0, r, 0]).sx for r in grid]
-        assert all(np.diff(sig) > 0)
-        assert all(np.diff(dx) > 0)
-        assert all(np.diff(sx) > 0)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            squash_params([0, 0, 0])
-        with pytest.raises(ValueError):
-            squash_params([np.nan, 0, 0, 0, 0])
-        with pytest.raises(ValueError, match="overflow"):
-            squash_params([0, 0, 0, 1e9, 0])
+        assert np.all(np.diff(squash_sigma(grid)) > 0)
+        assert np.all(np.diff(squash_offset(grid)) > 0)
 
     def test_logistic_stability(self):
         assert logistic(-1000.0) == 0.0

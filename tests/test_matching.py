@@ -29,7 +29,6 @@ from countmatch.matching import (
     brute_force_match,
     build_weight_matrix,
     fixed_radius_match,
-    gaussian_weight,
     match_points,
     match_with_radii,
 )
@@ -88,23 +87,29 @@ def check_result_invariants(result, n_pred, n_gt):
         math.fsum(p.weight for p in result.pairs), abs=1e-9)
 
 
+def fixed_weight(d, sigma):
+    """The ``_gaussian`` weight at distance ``d`` of a width fixed at ``sigma``."""
+    cfg = MatchConfig(sigma_mode=SigmaMode.FIXED, sigma_value=sigma)
+    return float(matching._gaussian(np.float64(d), None, cfg))
+
+
 class TestGaussianWeight:
     def test_zero_distance(self):
-        assert gaussian_weight(0.0, 3.0) == 1.0
+        assert fixed_weight(0.0, 3.0) == 1.0
 
     def test_at_one_sigma(self):
-        assert gaussian_weight(2.0, 2.0) == pytest.approx(math.exp(-0.5), abs=1e-12)
+        assert fixed_weight(2.0, 2.0) == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_half_width(self):
         sigma = 1.7
         d = sigma * math.sqrt(2.0 * math.log(2.0))
-        assert gaussian_weight(d, sigma) == pytest.approx(0.5, abs=1e-12)
+        assert fixed_weight(d, sigma) == pytest.approx(0.5, abs=1e-12)
 
     def test_invalid_sigma(self):
         with pytest.raises(ValueError, match="invalid sigma"):
-            gaussian_weight(1.0, 0.0)
+            MatchConfig(sigma_value=0.0)
         with pytest.raises(ValueError, match="invalid sigma"):
-            gaussian_weight(1.0, -2.0)
+            MatchConfig(sigma_value=-2.0)
 
     @pytest.mark.parametrize("d, sigma", [(1e308, 5e307), (1.3e154, 1e154), (0.0, 1e200),
                                           (1e-200, 1e-200), (3e-170, 2e-170),
@@ -116,7 +121,7 @@ class TestGaussianWeight:
         # overflow: the weight is 0.
         ratio = d / sigma
         expected = math.exp(-0.5 * ratio ** 2) if ratio < 1e150 else 0.0
-        assert gaussian_weight(d, sigma) == pytest.approx(expected, rel=1e-12)
+        assert fixed_weight(d, sigma) == pytest.approx(expected, rel=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.floats(0.0, sys.float_info.max),

@@ -11,7 +11,6 @@ from countmatch.metrics import (
     aggregate_report,
     count_error,
     evaluate_case,
-    localization_prf,
 )
 
 
@@ -55,30 +54,48 @@ class TestCountError:
             count_error([1], [1, 2])
         with pytest.raises(ValueError, match="non-empty"):
             count_error([], [])
+        with pytest.raises(ValueError, match="^count lists must be non-empty$"):
+            count_error(np.array([]), np.array([]))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.float64])
+    def test_arrays_equal_lists(self, dtype):
+        p, g = [3, 9, 4, 0], [5, 9, 1, 7]
+        want = count_error([dtype(v).item() for v in p], [dtype(v).item() for v in g])
+        got = count_error(np.array(p, dtype), np.array(g, dtype))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("wrap", [np.array, lambda v: [np.int64(c) for c in v]])
+    def test_int64_squares_past_the_int64_range(self, wrap):
+        # 5e9 squared is past 2^63: on int64 it would wrap, and warn.
+        got = count_error(wrap([5_000_000_000, 0]), wrap([0, 0]))
+        assert got == count_error([5_000_000_000, 0], [0, 0])
+        assert got[2] == 1.25e19
+
+
+def prf_of(pred, gt, tolerance):
+    """Precision, recall and F1 of one image, scored as a report of one."""
+    report = aggregate_report([evaluate_case("img", pred, gt, tolerance)])
+    return report.precision, report.recall, report.f1
 
 
 class TestLocalizationPrf:
     def test_perfect_identity(self):
         pts = PointSet([(i, i) for i in range(6)])
-        result = match_points(pts, pts)
-        assert localization_prf(result, tolerance=1.0) == (1.0, 1.0, 1.0)
+        assert prf_of(pts, pts, tolerance=1.0) == (1.0, 1.0, 1.0)
 
     def test_empty_predictions(self):
-        result = match_points(PointSet([]), PointSet([(1, 1)]))
-        assert localization_prf(result, tolerance=1.0) == (0.0, 0.0, 0.0)
+        assert prf_of(PointSet([]), PointSet([(1, 1)]), tolerance=1.0) == (0.0, 0.0, 0.0)
 
     def test_both_empty_scores_perfect(self):
-        result = match_points(PointSet([]), PointSet([]))
-        assert localization_prf(result, tolerance=1.0) == (1.0, 1.0, 1.0)
+        assert prf_of(PointSet([]), PointSet([]), tolerance=1.0) == (1.0, 1.0, 1.0)
 
     def test_agrees_with_manual_filtering(self):
         rng = np.random.default_rng(2)
         pred = PointSet(rng.uniform(0, 30, (12, 2)))
         gt = PointSet(rng.uniform(0, 30, (15, 2)))
-        result = match_points(pred, gt)
         tol = 2.0
-        tp = sum(1 for p in result.pairs if p.distance <= tol)
-        p, r, f1 = localization_prf(result, tol)
+        tp = sum(1 for p in match_points(pred, gt).pairs if p.distance <= tol)
+        p, r, f1 = prf_of(pred, gt, tol)
         assert p == pytest.approx(tp / 12)
         assert r == pytest.approx(tp / 15)
         if p + r > 0:
@@ -89,13 +106,12 @@ class TestLocalizationPrf:
         for _ in range(20):
             pred = PointSet(rng.uniform(0, 10, (int(rng.integers(0, 8)), 2)))
             gt = PointSet(rng.uniform(0, 10, (int(rng.integers(0, 8)), 2)))
-            p, r, f1 = localization_prf(match_points(pred, gt), tolerance=1.5)
+            p, r, f1 = prf_of(pred, gt, tolerance=1.5)
             assert 0 <= p <= 1 and 0 <= r <= 1 and 0 <= f1 <= 1
 
     def test_invalid_tolerance(self):
-        result = match_points(PointSet([]), PointSet([]))
         with pytest.raises(ValueError, match="tolerance"):
-            localization_prf(result, tolerance=0.0)
+            evaluate_case("img", PointSet([]), PointSet([]), tolerance=0.0)
 
 
 class TestImageEval:

@@ -15,9 +15,9 @@ from countmatch.densitymap import DensityMap, extract_peaks, render_density
 from countmatch.dynconv import FeatureMap, ParamField
 from countmatch.geometry import PointSet, RadiusProfile
 from countmatch.kernels import KernelParams
-from countmatch.matching import MatchConfig, gaussian_weight, match_with_radii
+from countmatch.matching import MatchConfig, match_with_radii
 from countmatch.metrics import evaluate_case
-from countmatch.synth import perturb_points, sample_separated
+from countmatch.synth import SceneConfig, perturb_points, sample_separated
 
 
 def _eval_pairs_of(tmp_path, manifest: bytes):
@@ -49,8 +49,6 @@ _REJECTIONS = {
                         "parameter field must be finite"),
     "kernel-params-nan": (lambda _: KernelParams(sigma=2.0, dx=math.nan), ValueError,
                           "kernel parameters must be finite"),
-    "weight-inf-distance": (lambda _: gaussian_weight(math.inf, 1.0), ValueError,
-                            "distance must be finite"),
     "match-config-float-k": (lambda _: MatchConfig(k=2.5), ValueError, "invalid k"),
     "radii-misaligned": (lambda _: match_with_radii(_ONE, _ONE, RadiusProfile(np.ones(2), 1)),
                          ValueError, "radius profile length 2 does not match predictions 1"),
@@ -58,6 +56,20 @@ _REJECTIONS = {
                        "tolerance must be positive"),
     "sample-negative-n": (lambda _: sample_separated(-1, 10.0, 10.0, 1.0), ValueError,
                           "n must be non-negative"),
+    "sample-nan-n": (lambda _: sample_separated(math.nan, 10.0, 10.0, 1.0), ValueError,
+                     "n must be an integer, got nan"),
+    "sample-fractional-n": (lambda _: sample_separated(2.5, 10.0, 10.0, 1.0), ValueError,
+                            "n must be an integer, got 2.5"),
+    "sample-bool-n": (lambda _: sample_separated(True, 10.0, 10.0, 1.0), ValueError,
+                      "n must be an integer, got True"),
+    "scene-negative-n": (lambda _: SceneConfig(10, 10, -1), ValueError,
+                         "n_points must be non-negative"),
+    "scene-nan-n": (lambda _: SceneConfig(10, 10, math.nan), ValueError,
+                    "n_points must be an integer, got nan"),
+    "scene-integral-float-n": (lambda _: SceneConfig(10, 10, 3.0), ValueError,
+                               "n_points must be an integer, got 3.0"),
+    "scene-bool-n": (lambda _: SceneConfig(10, 10, True), ValueError,
+                     "n_points must be an integer, got True"),
     "sample-no-area": (lambda _: sample_separated(3, 10.0, 10.0, 1.0, margin=5.0), ValueError,
                        "margin leaves no usable area"),
     "sample-inf-width": (lambda _: sample_separated(3, math.inf, 10.0, 1.0), ValueError,

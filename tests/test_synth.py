@@ -150,6 +150,15 @@ class TestSamplePoints:
         with pytest.raises(ValueError):
             SceneConfig(width=10, height=10, n_points=1, spacing_dense=0.0)
 
+    @pytest.mark.parametrize("profile", list(DensityProfile))
+    def test_numpy_integer_count_is_its_int(self, profile):
+        # A uint8 count of 255 would wrap in the scene's n + 1 and 2 * n.
+        want = sample_points(SceneConfig(400, 400, 255, profile)).coords
+        assert sample_points(SceneConfig(400, 400, np.uint8(255), profile)).coords.tobytes() \
+            == want.tobytes()
+        want = sample_separated(5, 10.0, 10.0, 1.0).coords
+        assert sample_separated(np.uint8(5), 10.0, 10.0, 1.0).coords.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("name", ["spacing_dense", "spacing_sparse"])
     def test_spacings_must_be_positive_and_finite(self, name, value):
